@@ -94,6 +94,14 @@ pub enum SdfgError {
         /// The deadline budget in milliseconds.
         ms: u64,
     },
+    /// An invoke's containers, sized under its symbol bindings, exceed
+    /// the per-invoke byte budget (`SDFG-X005`).
+    MemoryBudget {
+        /// The budget in bytes.
+        limit: usize,
+        /// Bytes the containers would take (saturating).
+        need: u64,
+    },
     /// A serialized program exceeded the deserializer's configured size
     /// limit (`SDFG-S001`).
     PayloadTooLarge {
@@ -161,6 +169,7 @@ impl SdfgError {
             SdfgError::UnknownData { .. } => "SDFG-X002",
             SdfgError::ShapeMismatch { .. } => "SDFG-X003",
             SdfgError::Timeout { .. } => "SDFG-X004",
+            SdfgError::MemoryBudget { .. } => "SDFG-X005",
             SdfgError::PayloadTooLarge { .. } => "SDFG-S001",
             SdfgError::Serialize { .. } => "SDFG-S002",
             SdfgError::Interp { .. } => "SDFG-I001",
@@ -209,6 +218,11 @@ impl fmt::Display for SdfgError {
                 "array `{name}`: shape evaluates to {expected} elements, got {got}"
             ),
             SdfgError::Timeout { ms } => write!(f, "run exceeded the {ms} ms deadline"),
+            SdfgError::MemoryBudget { limit, need } => write!(
+                f,
+                "containers need {need} bytes under the bound symbols, \
+                 over the {limit}-byte per-invoke budget"
+            ),
             SdfgError::PayloadTooLarge { limit, got } => {
                 write!(f, "payload of {got} bytes exceeds the {limit}-byte limit")
             }

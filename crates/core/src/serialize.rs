@@ -451,10 +451,7 @@ impl Json {
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let mut p = JsonParser::new(src);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(p.err_at(p.pos, "trailing garbage"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
@@ -466,6 +463,11 @@ pub const DEFAULT_MAX_PROGRAM_BYTES: usize = 16 << 20;
 /// Parses a JSON document from untrusted input, rejecting payloads above
 /// `max_bytes` before the parser ever runs.
 pub fn parse_json_limited(src: &str, max_bytes: usize) -> Result<Json, String> {
+    check_size(src, max_bytes)?;
+    parse_json(src)
+}
+
+fn check_size(src: &str, max_bytes: usize) -> Result<(), String> {
     if src.len() > max_bytes {
         return Err(format!(
             "payload of {} bytes exceeds the {}-byte limit",
@@ -473,7 +475,102 @@ pub fn parse_json_limited(src: &str, max_bytes: usize) -> Result<Json, String> {
             max_bytes
         ));
     }
-    parse_json(src)
+    Ok(())
+}
+
+/// A pull cursor over one JSON document from untrusted input, for
+/// callers that stream a large document instead of building a [`Json`]
+/// tree: object keys one at a time, number arrays straight into a
+/// `Vec<f64>`, and any other value as [`Json`]. It is the parser behind
+/// [`parse_json`], so numbers parse to the same bits and every error
+/// carries the same byte offset and line/column.
+///
+/// Objects opened with [`JsonCursor::begin_object`] nest only as values
+/// of other objects, which is all a keyed document needs.
+pub struct JsonCursor<'a> {
+    p: JsonParser<'a>,
+    /// No key has been read yet in the innermost open object.
+    first_key: bool,
+}
+
+impl<'a> JsonCursor<'a> {
+    /// Opens a cursor, rejecting payloads above `max_bytes` as
+    /// [`parse_json_limited`] does.
+    pub fn new(src: &'a str, max_bytes: usize) -> Result<JsonCursor<'a>, String> {
+        check_size(src, max_bytes)?;
+        Ok(JsonCursor {
+            p: JsonParser::new(src),
+            first_key: false,
+        })
+    }
+
+    /// The next byte that is not whitespace, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.p.peek()
+    }
+
+    /// Consumes the `{` that opens an object; read its keys with
+    /// [`JsonCursor::next_key`].
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.p.expect(b'{')?;
+        self.first_key = true;
+        Ok(())
+    }
+
+    /// Reads the next key of the innermost open object and its `:`,
+    /// leaving the cursor on the value, which the caller must consume.
+    /// `None` once the closing `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<String>, String> {
+        let more = if !self.first_key {
+            self.p.separator(b'}')?
+        } else if self.p.peek() == Some(b'}') {
+            self.p.pos += 1;
+            false
+        } else {
+            true
+        };
+        // The enclosing object, if any, has read the key of this value.
+        self.first_key = false;
+        if !more {
+            return Ok(None);
+        }
+        let key = self.p.string()?;
+        self.p.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads an array of numbers, appending each to `out`.
+    pub fn f64_array(&mut self, out: &mut Vec<f64>) -> Result<(), String> {
+        self.p.expect(b'[')?;
+        if self.p.peek() == Some(b']') {
+            self.p.pos += 1;
+            return Ok(());
+        }
+        loop {
+            match self.p.peek() {
+                Some(c) if c == b'-' || c.is_ascii_digit() => out.push(self.p.number_f64()?),
+                other => {
+                    let found = other.map(|c| c as char);
+                    return Err(self
+                        .p
+                        .err_at(self.p.pos, &format!("expected a number, found {found:?}")));
+                }
+            }
+            if !self.p.separator(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads any value as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.p.value()
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.p.finish()
+    }
 }
 
 /// Deserializes an SDFG from untrusted wire input with a size limit,
@@ -490,16 +587,27 @@ pub fn from_json_limited(src: &str, max_bytes: usize) -> Result<Sdfg, crate::Sdf
     from_json(src).map_err(|message| crate::SdfgError::Serialize { message })
 }
 
+/// Deepest array/object nesting the parser follows. Its recursion is one
+/// stack frame pair per level, so an unbounded `[[[[…` from the wire
+/// would overflow a thread's stack and abort the process; serialized
+/// SDFGs nest a few dozen levels.
+const MAX_JSON_DEPTH: usize = 256;
+
 struct JsonParser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
     fn new(src: &'a str) -> Self {
         JsonParser {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -550,15 +658,26 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number_f64().map(Json::Num),
             other => Err(self.err_at(self.pos, &format!("unexpected {other:?}"))),
         }
+    }
+
+    fn nested(&mut self, read: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            let msg = format!("nesting deeper than {MAX_JSON_DEPTH} levels");
+            return Err(self.err_at(self.pos, &msg));
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -571,7 +690,34 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.err_at(self.pos, "trailing garbage"));
+        }
+        Ok(())
+    }
+
+    /// After an element, consumes `,` (`true`: another element follows)
+    /// or the `close` bracket (`false`).
+    fn separator(&mut self, close: u8) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            other => Err(self.err_at(
+                self.pos,
+                &format!("expected `,` or `{}`, found {other:?}", close as char),
+            )),
+        }
+    }
+
+    fn number_f64(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
         while self.pos < self.src.len()
@@ -582,10 +728,10 @@ impl<'a> JsonParser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
+        // The scanned bytes are ASCII, so both ends are char boundaries.
+        self.text
+            .get(start..self.pos)
             .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
             .ok_or_else(|| self.err_at(start, "invalid number"))
     }
 
@@ -661,17 +807,8 @@ impl<'a> JsonParser<'a> {
         }
         loop {
             out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => {
-                    return Err(
-                        self.err_at(self.pos, &format!("expected `,` or `]`, found {other:?}"))
-                    )
-                }
+            if !self.separator(b']')? {
+                return Ok(Json::Arr(out));
             }
         }
     }
@@ -688,17 +825,8 @@ impl<'a> JsonParser<'a> {
             let key = self.string()?;
             self.expect(b':')?;
             out.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => {
-                    return Err(
-                        self.err_at(self.pos, &format!("expected `,` or `}}`, found {other:?}"))
-                    )
-                }
+            if !self.separator(b'}')? {
+                return Ok(Json::Obj(out));
             }
         }
     }
@@ -1389,5 +1517,99 @@ mod tests {
         assert_eq!(v.arr_field("b").unwrap().len(), 2);
         assert_eq!(v.str_field("c").unwrap(), "x");
         assert!(parse_json("{} junk").is_err());
+    }
+
+    /// The text from " at byte" on: offset, line and column.
+    fn position(err: &str) -> &str {
+        &err[err.find(" at byte ").expect("error carries a position")..]
+    }
+
+    #[test]
+    fn cursor_streams_what_parse_json_builds() {
+        let src = "{\"n\": 3, \"xs\": [1.5, -0.0, 4.9e-324, 2E3, 17976931348623157e292],\n \
+                   \"empty\": {}, \"none\": [], \"s\": \"t\"} ";
+        let tree = parse_json(src).unwrap();
+        let mut c = JsonCursor::new(src, src.len()).unwrap();
+        c.begin_object().unwrap();
+        let mut keys = Vec::new();
+        while let Some(key) = c.next_key().unwrap() {
+            match key.as_str() {
+                "xs" | "none" => {
+                    let mut got = Vec::new();
+                    c.f64_array(&mut got).unwrap();
+                    let want = tree.arr_field(&key).unwrap();
+                    assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(Json::Num(*g), *w);
+                        assert_eq!(
+                            Some(g.to_bits()),
+                            match w {
+                                Json::Num(x) => Some(x.to_bits()),
+                                _ => None,
+                            }
+                        );
+                    }
+                }
+                "empty" => {
+                    c.begin_object().unwrap();
+                    assert_eq!(c.next_key().unwrap(), None);
+                }
+                _ => assert_eq!(Some(&c.value().unwrap()), tree.get(&key)),
+            }
+            keys.push(key);
+        }
+        c.finish().unwrap();
+        assert_eq!(keys, ["n", "xs", "empty", "none", "s"]);
+    }
+
+    #[test]
+    fn cursor_errors_carry_parse_json_positions() {
+        let read = |src: &str| -> Result<(), String> {
+            let mut c = JsonCursor::new(src, 1 << 10)?;
+            c.begin_object()?;
+            while c.next_key()?.is_some() {
+                c.f64_array(&mut Vec::new())?;
+            }
+            c.finish()
+        };
+        for bad in [
+            "{\"a\": [1, 2",
+            "{\"a\": [1,, 2]}",
+            "{\"a\": [1]\n \"b\": [2]}",
+            "{\"a\": [1], }",
+            "{\"a\": [1e5x]}",
+            "{\"a\": [1]} junk",
+        ] {
+            let (tree, cursor) = (parse_json(bad).unwrap_err(), read(bad).unwrap_err());
+            assert_eq!(
+                position(&tree),
+                position(&cursor),
+                "{bad}: {tree} vs {cursor}"
+            );
+        }
+        assert!(read("{\"a\": [1, null]}")
+            .unwrap_err()
+            .starts_with("expected a number, found Some('n') at byte 10 (line 1, column 11)"));
+        // Hostile nesting is an error, not a stack overflow.
+        let deep = format!("{{\"a\": {}{}}}", "[".repeat(100_000), "]".repeat(100_000));
+        for err in [parse_json(&deep).unwrap_err(), {
+            let mut c = JsonCursor::new(&deep, deep.len()).unwrap();
+            c.begin_object().unwrap();
+            c.next_key().unwrap();
+            c.value().unwrap_err()
+        }] {
+            assert!(
+                err.starts_with("nesting deeper than 256 levels at byte"),
+                "{err}"
+            );
+        }
+        let ok = format!("{}{}", "[".repeat(256), "]".repeat(256));
+        assert!(parse_json(&ok).is_ok());
+        // The size cap speaks as `parse_json_limited` does.
+        let big = "{\"a\": [1, 2, 3]}";
+        assert_eq!(
+            JsonCursor::new(big, 4).err(),
+            parse_json_limited(big, 4).err()
+        );
     }
 }

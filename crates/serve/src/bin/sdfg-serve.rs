@@ -16,7 +16,7 @@ sdfg-serve: multi-tenant SDFG execution server
 USAGE:
   sdfg-serve [--port N] [--nthreads N] [--opt LEVEL] [--db PATH]
              [--max-inflight N] [--queue-depth N] [--tenant-cap N]
-             [--timeout-ms N] [--ledger PATH]
+             [--timeout-ms N] [--max-invoke-bytes N] [--ledger PATH]
 
 OPTIONS:
   --port N          TCP port on 127.0.0.1 (default 8080; 0 = ephemeral)
@@ -27,6 +27,9 @@ OPTIONS:
   --queue-depth N   invokes queued beyond the cap before 429 (default 16)
   --tenant-cap N    per-tenant running+queued cap (default 4)
   --timeout-ms N    default invoke deadline (default 30000)
+  --max-invoke-bytes N
+                    per-invoke cap on container bytes under the bound
+                    symbols; larger invokes get 413 (default 1073741824)
   --ledger PATH     append per-request run records to this JSONL file
 ";
 
@@ -69,6 +72,7 @@ fn main() {
             "--queue-depth" => config.queue_depth = parse(&flag, &value),
             "--tenant-cap" => config.tenant_cap = parse::<usize>(&flag, &value).max(1),
             "--timeout-ms" => config.default_timeout_ms = parse(&flag, &value),
+            "--max-invoke-bytes" => config.max_invoke_bytes = parse(&flag, &value),
             "--ledger" => ledger_path = Some(PathBuf::from(&value)),
             other => {
                 eprintln!("error: unknown flag `{other}`\n\n{USAGE}");

@@ -23,8 +23,11 @@
 //! Robustness: invokes pass a bounded admission queue (overflow is shed
 //! with `429` + `Retry-After`), each tenant (`x-api-key` header) has an
 //! in-flight cap, and every invoke carries a wall-clock deadline that
-//! cancels the run between SDFG states (`504`, registry unharmed). Every
-//! request lands in the run ledger tagged with tenant and request id.
+//! cancels the run between SDFG states (`504`, registry unharmed). An
+//! invoke whose containers, sized under its symbols, exceed the
+//! per-invoke byte budget is refused before any allocation (`413`).
+//! Every request lands in the run ledger tagged with tenant and request
+//! id.
 
 pub mod admission;
 pub mod http;
@@ -34,10 +37,11 @@ pub use admission::{Admission, Permit, Reject};
 pub use registry::{ProgramEntry, Registry, RegistryConfig, Submitted};
 
 use http::{ParseError, Request, Response};
-use sdfg_core::serialize::{parse_json_limited, Json};
+use sdfg_core::serialize::{Json, JsonCursor};
 use sdfg_core::SdfgError;
 use sdfg_exec::Bindings;
 use sdfg_profile::{ledger, metrics};
+use std::fmt::Write as _;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,6 +67,9 @@ pub struct ServerConfig {
     pub default_timeout_ms: u64,
     /// Request body cap for invoke payloads, bytes.
     pub max_body_bytes: usize,
+    /// Per-invoke cap on the bytes of the program's containers, sized
+    /// under the invoke's symbol bindings before anything is allocated.
+    pub max_invoke_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -75,6 +82,7 @@ impl Default for ServerConfig {
             tenant_cap: 4,
             default_timeout_ms: 30_000,
             max_body_bytes: 64 << 20,
+            max_invoke_bytes: 1 << 30,
         }
     }
 }
@@ -103,6 +111,7 @@ impl Server {
             admission: Arc::clone(&admission),
             default_timeout_ms: config.default_timeout_ms,
             max_body_bytes: config.max_body_bytes,
+            max_invoke_bytes: config.max_invoke_bytes,
             request_seq: AtomicU64::new(0),
         });
         let stop2 = Arc::clone(&stop);
@@ -168,10 +177,15 @@ struct Shared {
     admission: Arc<Admission>,
     default_timeout_ms: u64,
     max_body_bytes: usize,
+    max_invoke_bytes: usize,
     request_seq: AtomicU64,
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
+    // Every response leaves in one send (`http::write_response`), so
+    // Nagle has nothing to coalesce; left on, it would hold a response
+    // whose send did not fill a segment until the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(peer_read) = stream.try_clone() else {
         return;
     };
@@ -320,6 +334,14 @@ fn invoke(req: &Request, shared: &Shared, hash_str: &str) -> Response {
             Ok(parts) => parts,
             Err(resp) => return resp,
         };
+    let need = entry.footprint_bytes(&bindings);
+    if need > shared.max_invoke_bytes as u64 {
+        let err = SdfgError::MemoryBudget {
+            limit: shared.max_invoke_bytes,
+            need,
+        };
+        return sdfg_error_response(&err);
+    }
     let tenant = tenant_of(req);
     let request_id = format!(
         "req-{}",
@@ -376,6 +398,13 @@ fn invoke(req: &Request, shared: &Shared, hash_str: &str) -> Response {
         None => arrays.keys().collect(),
     };
     names.sort();
+    // Most shortest round-trip doubles fit 20 bytes with their comma.
+    body.reserve(
+        names
+            .iter()
+            .map(|n| arrays[*n].len() * 20 + n.len() + 4)
+            .sum(),
+    );
     for (i, name) in names.iter().enumerate() {
         if i > 0 {
             body.push(',');
@@ -384,7 +413,7 @@ fn invoke(req: &Request, shared: &Shared, hash_str: &str) -> Response {
         body.push(':');
         json_f64_array(&mut body, &arrays[*name]);
     }
-    body.push_str(&format!("}},\"wall_ms\":{wall_ms}}}"));
+    let _ = write!(body, "}},\"wall_ms\":{wall_ms}}}");
     Response::json(200, body).with_header("x-request-id", request_id)
 }
 
@@ -423,62 +452,96 @@ fn reject_response(reject: Reject) -> Response {
 type InvokeParts = (Bindings, Option<u64>, Option<Vec<String>>);
 
 /// Decodes an invoke body: `{"symbols": {..}, "arrays": {..},
-/// "timeout_ms": N, "outputs": [..]}`; every field optional.
+/// "timeout_ms": N, "outputs": [..]}`; every field optional, and the
+/// first of repeated fields wins. Each `arrays` entry streams straight
+/// into its `Vec<f64>`, with no [`Json`] tree in between.
 fn decode_invoke_body(body: &[u8], max_bytes: usize) -> Result<InvokeParts, Response> {
     if body.is_empty() {
         return Ok((Bindings::new(), None, None));
     }
     let src = std::str::from_utf8(body)
         .map_err(|_| error_response(400, "SDFG-S002", "request body is not UTF-8"))?;
-    let doc = parse_json_limited(src, max_bytes)
-        .map_err(|msg| error_response(400, "SDFG-S002", &format!("deserialization: {msg}")))?;
+    let syntax = |msg: String| error_response(400, "SDFG-S002", &format!("deserialization: {msg}"));
+    let mut c = JsonCursor::new(src, max_bytes).map_err(syntax)?;
     let mut bindings = Bindings::new();
-    if let Some(Json::Obj(pairs)) = doc.get("symbols") {
-        for (name, v) in pairs {
-            let Json::Num(x) = v else {
-                return Err(bad_field(&format!("symbol `{name}` must be a number")));
-            };
-            if x.fract() != 0.0 {
-                return Err(bad_field(&format!("symbol `{name}` must be an integer")));
-            }
-            bindings = bindings.symbol(name, *x as i64);
-        }
+    let (mut timeout_ms, mut outputs) = (None, None);
+    if c.peek() != Some(b'{') {
+        // Not an object: nothing to bind, but it must still be JSON.
+        c.value().map_err(syntax)?;
+        c.finish().map_err(syntax)?;
+        return Ok((bindings, timeout_ms, outputs));
     }
-    if let Some(Json::Obj(pairs)) = doc.get("arrays") {
-        for (name, v) in pairs {
-            let Json::Arr(items) = v else {
-                return Err(bad_field(&format!("array `{name}` must be a JSON array")));
-            };
-            let mut data = Vec::with_capacity(items.len());
-            for item in items {
-                let Json::Num(x) = item else {
-                    return Err(bad_field(&format!("array `{name}` must hold only numbers")));
-                };
-                data.push(*x);
-            }
-            bindings = bindings.array_vec(name, data);
+    c.begin_object().map_err(syntax)?;
+    let mut seen: Vec<String> = Vec::new();
+    while let Some(key) = c.next_key().map_err(syntax)? {
+        if seen.contains(&key) {
+            c.value().map_err(syntax)?;
+            continue;
         }
-    }
-    let timeout_ms = match doc.get("timeout_ms") {
-        Some(Json::Num(x)) if *x >= 0.0 => Some(*x as u64),
-        Some(_) => return Err(bad_field("timeout_ms must be a non-negative number")),
-        None => None,
-    };
-    let outputs = match doc.get("outputs") {
-        Some(Json::Arr(items)) => {
-            let mut names = Vec::with_capacity(items.len());
-            for item in items {
-                let Json::Str(s) = item else {
+        match key.as_str() {
+            "arrays" if c.peek() == Some(b'{') => {
+                c.begin_object().map_err(syntax)?;
+                while let Some(name) = c.next_key().map_err(syntax)? {
+                    if c.peek() != Some(b'[') {
+                        return Err(bad_field(&format!("array `{name}` must be a JSON array")));
+                    }
+                    let mut data = Vec::new();
+                    c.f64_array(&mut data)
+                        .map_err(|msg| syntax(format!("array `{name}`: {msg}")))?;
+                    bindings = bindings.array_vec(&name, data);
+                }
+            }
+            "symbols" => {
+                if let Json::Obj(pairs) = c.value().map_err(syntax)? {
+                    for (name, v) in pairs {
+                        bindings = bindings.symbol(&name, symbol_value(&name, &v)?);
+                    }
+                }
+            }
+            "timeout_ms" => match c.value().map_err(syntax)? {
+                Json::Num(x) if x >= 0.0 => timeout_ms = Some(x as u64),
+                _ => return Err(bad_field("timeout_ms must be a non-negative number")),
+            },
+            "outputs" => {
+                let Json::Arr(items) = c.value().map_err(syntax)? else {
                     return Err(bad_field("outputs must be an array of names"));
                 };
-                names.push(s.clone());
+                let mut names = Vec::with_capacity(items.len());
+                for item in items {
+                    let Json::Str(s) = item else {
+                        return Err(bad_field("outputs must be an array of names"));
+                    };
+                    names.push(s);
+                }
+                outputs = Some(names);
             }
-            Some(names)
+            // Unknown fields, and `arrays` that is not an object, are
+            // skipped, as the tree decoder skipped them.
+            _ => {
+                c.value().map_err(syntax)?;
+            }
         }
-        Some(_) => return Err(bad_field("outputs must be an array of names")),
-        None => None,
-    };
+        seen.push(key);
+    }
+    c.finish().map_err(syntax)?;
     Ok((bindings, timeout_ms, outputs))
+}
+
+/// A symbol binding: an integer that fits `i64` exactly.
+fn symbol_value(name: &str, v: &Json) -> Result<i64, Response> {
+    let Json::Num(x) = v else {
+        return Err(bad_field(&format!("symbol `{name}` must be a number")));
+    };
+    if x.fract() != 0.0 {
+        return Err(bad_field(&format!("symbol `{name}` must be an integer")));
+    }
+    // -2^63 is exact in f64; every integral double in [-2^63, 2^63)
+    // converts without saturating.
+    let min = i64::MIN as f64;
+    if !(min..-min).contains(x) {
+        return Err(bad_field(&format!("symbol `{name}` does not fit in i64")));
+    }
+    Ok(*x as i64)
 }
 
 fn bad_field(msg: &str) -> Response {
@@ -515,7 +578,7 @@ fn json_f64_array(out: &mut String, data: &[f64]) {
             out.push(',');
         }
         if x.is_finite() {
-            out.push_str(&format!("{x}"));
+            let _ = write!(out, "{x}");
         } else {
             out.push_str("null");
         }
@@ -539,7 +602,7 @@ fn error_response(status: u16, code: &str, message: &str) -> Response {
 /// deadline expiry is 504, anything else is the server's fault.
 fn sdfg_error_response(err: &SdfgError) -> Response {
     let status = match err {
-        SdfgError::PayloadTooLarge { .. } => 413,
+        SdfgError::PayloadTooLarge { .. } | SdfgError::MemoryBudget { .. } => 413,
         SdfgError::Timeout { .. } => 504,
         SdfgError::Serialize { .. }
         | SdfgError::Validation { .. }
@@ -553,6 +616,7 @@ fn sdfg_error_response(err: &SdfgError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn invoke_target_parses() {
@@ -599,5 +663,165 @@ mod tests {
     fn decode_invoke_body_rejects_junk() {
         assert!(decode_invoke_body(b"{\"symbols\":{\"N\":1.5}}", 1 << 20).is_err());
         assert!(decode_invoke_body(b"not json", 1 << 20).is_err());
+    }
+
+    /// A splitmix64 stream: seeded, dependency-free bit patterns.
+    fn bit_patterns(seed: u64, n: usize) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        (0..n).map(move |_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+    }
+
+    /// The encoder as it was: one `format!` allocation per element.
+    fn json_f64_array_by_format(data: &[f64]) -> String {
+        let items: Vec<String> = data
+            .iter()
+            .map(|x| {
+                if x.is_finite() {
+                    format!("{x}")
+                } else {
+                    "null".to_string()
+                }
+            })
+            .collect();
+        format!("[{}]", items.join(","))
+    }
+
+    #[test]
+    fn f64_array_bytes_match_the_format_encoder() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1e21,
+            1e-7,
+            0.1,
+            1.0 / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let sweep: Vec<f64> = bit_patterns(7, 20_000).map(f64::from_bits).collect();
+        for data in [&[][..], &edges[..], &sweep[..]] {
+            let mut got = String::from("prefix");
+            json_f64_array(&mut got, data);
+            assert_eq!(got, format!("prefix{}", json_f64_array_by_format(data)));
+        }
+    }
+
+    /// `parse_json` then a copy: how the decoder read arrays before.
+    fn arrays_via_tree(body: &str) -> HashMap<String, Vec<f64>> {
+        let doc = sdfg_core::serialize::parse_json(body).unwrap();
+        let Some(Json::Obj(pairs)) = doc.get("arrays") else {
+            panic!("no arrays");
+        };
+        pairs
+            .iter()
+            .map(|(name, v)| {
+                let Json::Arr(items) = v else { panic!() };
+                let data = items
+                    .iter()
+                    .map(|x| match x {
+                        Json::Num(x) => *x,
+                        _ => panic!(),
+                    })
+                    .collect();
+                (name.clone(), data)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_arrays_equal_parse_json_bitwise() {
+        // Shortest, exponent and debug spellings, integers, and a few
+        // hand-written forms the grammar also takes.
+        let finite: Vec<f64> = bit_patterns(8, 3_000)
+            .map(f64::from_bits)
+            .filter(|x| x.is_finite())
+            .collect();
+        let spell = |f: fn(&f64) -> String| -> String {
+            let items: Vec<String> = finite.iter().map(f).collect();
+            format!("[{}]", items.join(", "))
+        };
+        let body = format!(
+            "{{\"symbols\": {{\"N\": 3}},\n \"arrays\": {{\"short\": {}, \"exp\": {}, \
+             \"debug\": {}, \"ints\": [0, -0, 7, 9007199254740993], \
+             \"forms\": [1E5, 2.5e+3, -1.0e-310, 123456789012345678901234567890, 1e999],\
+             \"empty\": [ ]}}}}",
+            spell(|x| format!("{x}")),
+            spell(|x| format!("{x:e}")),
+            spell(|x| format!("{x:?}")),
+        );
+        let Ok((bindings, _, _)) = decode_invoke_body(body.as_bytes(), body.len()) else {
+            panic!("body should decode");
+        };
+        let want = arrays_via_tree(&body);
+        assert_eq!(bindings.arrays().len(), want.len());
+        for (name, want) in &want {
+            let got = &bindings.arrays()[name];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "array `{name}`");
+        }
+    }
+
+    fn rejection(body: &str) -> (u16, String) {
+        match decode_invoke_body(body.as_bytes(), 1 << 20) {
+            Ok(_) => panic!("`{body}` should be rejected"),
+            Err(resp) => (resp.status, String::from_utf8(resp.body).unwrap()),
+        }
+    }
+
+    #[test]
+    fn malformed_arrays_are_400_with_a_position() {
+        for body in [
+            "{\"arrays\": {\"A\": [1.0, 2.5",
+            "{\"arrays\": {\"A\": [1.0, null]}}",
+            "{\"arrays\": {\"A\": [1.0, \"x\"]}}",
+            "{\"arrays\": {\"A\": [1.0 2.0]}}",
+            "{\"arrays\": {\"A\": [1.0]}} trailing",
+            "{\"arrays\": {\"A\": [1.0]},\n \"symbols\": {\"N\": 1}",
+        ] {
+            let (status, msg) = rejection(body);
+            assert_eq!(status, 400, "{body}: {msg}");
+            assert!(msg.contains("SDFG-S002"), "{body}: {msg}");
+            assert!(msg.contains("(line "), "{body}: no position in {msg}");
+        }
+        let (status, msg) = rejection("{\"arrays\": {\"A\": 1.0}}");
+        assert_eq!(status, 400);
+        assert!(msg.contains("must be a JSON array"), "{msg}");
+    }
+
+    #[test]
+    fn symbols_outside_i64_are_400() {
+        for n in ["9223372036854775808", "1e19", "-1e19", "1e999"] {
+            let (status, msg) = rejection(&format!("{{\"symbols\": {{\"N\": {n}}}}}"));
+            assert_eq!(status, 400, "{n}: {msg}");
+            assert!(msg.contains("SDFG-S002"), "{msg}");
+        }
+        let edge = "{\"symbols\": {\"lo\": -9223372036854775808, \"hi\": 9223372036854774784}}";
+        let Ok((b, _, _)) = decode_invoke_body(edge.as_bytes(), 1 << 20) else {
+            panic!("in-range symbols should decode");
+        };
+        assert_eq!(b.symbols()["lo"], i64::MIN);
+        assert_eq!(b.symbols()["hi"], 9_223_372_036_854_774_784);
+    }
+
+    #[test]
+    fn repeated_fields_keep_the_first() {
+        let body = br#"{"arrays":{"A":[1]},"arrays":{"B":[2]},"timeout_ms":5,"timeout_ms":"x"}"#;
+        let Ok((b, timeout, _)) = decode_invoke_body(body, 1 << 20) else {
+            panic!("body should decode");
+        };
+        assert_eq!(b.array_names().collect::<Vec<_>>(), vec!["A"]);
+        assert_eq!(timeout, Some(5));
     }
 }

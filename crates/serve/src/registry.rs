@@ -58,6 +58,29 @@ impl ProgramEntry {
         }
         out
     }
+
+    /// Bytes the program's top-level containers take under the symbols
+    /// `bindings` sets: per container, its element size times every
+    /// dimension of its shape (none for a scalar), saturating. A
+    /// container whose shape names a symbol the invoke leaves unbound
+    /// counts 0; the engine rejects or sizes it later.
+    pub(crate) fn footprint_bytes(&self, bindings: &Bindings) -> u64 {
+        let symbols = bindings.symbols();
+        self.session
+            .sdfg()
+            .data
+            .values()
+            .map(|desc| {
+                desc.shape()
+                    .iter()
+                    .try_fold(desc.dtype().size_bytes() as u64, |bytes, dim| {
+                        let n = dim.eval(symbols).ok()?;
+                        Some(bytes.saturating_mul(n.max(0) as u64))
+                    })
+                    .unwrap_or(0)
+            })
+            .fold(0, u64::saturating_add)
+    }
 }
 
 /// Execution policy every registered program is built with. Tenants

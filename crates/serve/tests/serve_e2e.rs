@@ -1,8 +1,10 @@
 //! End-to-end test of the serving layer over a real TCP socket: two
 //! tenants submit and invoke Polybench programs concurrently, sharing
 //! one registry (and one plan cache); overflow is shed with 429; a
-//! timed-out invoke comes back 504 without poisoning the registry; and
-//! the `/metrics` endpoint passes the exposition validator.
+//! timed-out invoke comes back 504 without poisoning the registry; the
+//! `/metrics` endpoint passes the exposition validator; one keep-alive
+//! connection serves back-to-back invokes without a delayed-ACK stall;
+//! and an invoke over the byte budget is a 413, not an abort.
 
 use sdfg_core::sdfg::InterstateEdge;
 use sdfg_core::serialize::{parse_json, to_json, Json};
@@ -13,8 +15,9 @@ use sdfg_serve::{RegistryConfig, Server, ServerConfig};
 use sdfg_workloads::polybench;
 use sdfg_workloads::workload::Workload;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 const SCALE: usize = 8;
 const NTHREADS: usize = 2;
@@ -72,6 +75,54 @@ fn http(
         .expect("status code");
     let (head, resp_body) = text.split_once("\r\n\r\n").expect("header/body split");
     (status, head.to_string(), resp_body.to_string())
+}
+
+/// A keep-alive connection, as a plain client uses one: each request in
+/// one write, each response framed by its `content-length`.
+struct KeepAlive {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl KeepAlive {
+    fn connect(addr: SocketAddr) -> KeepAlive {
+        let writer = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(writer.try_clone().expect("clone socket"));
+        KeepAlive { reader, writer }
+    }
+
+    /// Sends one request and reads exactly its response: status, head
+    /// and body.
+    fn request(&mut self, method: &str, path: &str, body: &[u8]) -> (u16, String, String) {
+        let mut req = format!(
+            "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        req.extend_from_slice(body);
+        self.writer.write_all(&req).expect("write request");
+        let mut head = String::new();
+        loop {
+            let n = self.reader.read_line(&mut head).expect("read head");
+            assert!(n > 0, "connection closed mid-response: {head}");
+            if head.ends_with("\r\n\r\n") {
+                break;
+            }
+        }
+        let status = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("bad status line in {head}"));
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-length: "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no content-length in {head}"));
+        let mut resp = vec![0u8; len];
+        self.reader.read_exact(&mut resp).expect("read body");
+        (status, head, String::from_utf8(resp).expect("utf-8 body"))
+    }
 }
 
 /// Builds an invoke body from a workload's symbols and arrays. `f64`
@@ -134,6 +185,33 @@ fn output_arrays(body: &str) -> HashMap<String, Vec<f64>> {
         .collect()
 }
 
+fn assert_bitwise(
+    got: &HashMap<String, Vec<f64>>,
+    want: &HashMap<String, Vec<f64>>,
+    check: &[String],
+) {
+    for name in check {
+        let (a, b) = (&got[name], &want[name]);
+        assert_eq!(a.len(), b.len(), "`{name}` length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "`{name}`[{i}]: served {x} vs direct {y}"
+            );
+        }
+    }
+}
+
+fn direct_run(w: &Workload) -> HashMap<String, Vec<f64>> {
+    let session = Session::builder(w.sdfg.clone())
+        .opt_level(OptLevel::Aggressive)
+        .nthreads(NTHREADS)
+        .build()
+        .expect("direct session");
+    session.run(w.bindings()).expect("direct run").into_arrays()
+}
+
 fn start_server(max_inflight: usize, queue_depth: usize, tenant_cap: usize) -> Server {
     Server::start(ServerConfig {
         port: 0,
@@ -163,17 +241,6 @@ fn counter(name: &str) -> u64 {
 fn two_tenants_share_one_registry_and_plan_cache() {
     let server = start_server(4, 16, 4);
     let addr = server.addr();
-
-    let direct = |name: &str| -> HashMap<String, Vec<f64>> {
-        let w = kernel(name);
-        let session = Session::builder(w.sdfg.clone())
-            .opt_level(OptLevel::Aggressive)
-            .nthreads(NTHREADS)
-            .build()
-            .expect("direct session");
-        let out = session.run(w.bindings()).expect("direct run");
-        out.into_arrays()
-    };
 
     let tenant_run = move |name: &'static str, api_key: &'static str| {
         let w = kernel(name);
@@ -215,28 +282,13 @@ fn two_tenants_share_one_registry_and_plan_cache() {
     let (_, atax_results, atax_check) = t2.join().expect("tenant-b");
 
     // Every invoke result matches a direct Session::run bitwise.
-    let want_gemm = direct("gemm");
+    let want_gemm = direct_run(&kernel("gemm"));
     for got in &gemm_results {
-        for name in &gemm_check {
-            let (a, b) = (&got[name], &want_gemm[name]);
-            assert_eq!(a.len(), b.len(), "gemm `{name}` length");
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "gemm `{name}`[{i}]: served {x} vs direct {y}"
-                );
-            }
-        }
+        assert_bitwise(got, &want_gemm, &gemm_check);
     }
-    let want_atax = direct("atax");
+    let want_atax = direct_run(&kernel("atax"));
     for got in &atax_results {
-        for name in &atax_check {
-            let (a, b) = (&got[name], &want_atax[name]);
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "atax `{name}` diverges");
-            }
-        }
+        assert_bitwise(got, &want_atax, &atax_check);
     }
 
     // Warm invokes on the shared cache produced plan-cache hits.
@@ -343,18 +395,7 @@ fn overflow_gets_429_and_timeout_gets_504_without_poisoning() {
         atax_invoke.as_bytes(),
     );
     assert_eq!(status, 200, "registry poisoned after timeout: {body}");
-    let got = output_arrays(&body);
-    let session = Session::builder(w.sdfg.clone())
-        .opt_level(OptLevel::Aggressive)
-        .nthreads(NTHREADS)
-        .build()
-        .expect("direct session");
-    let want = session.run(w.bindings()).expect("direct run").into_arrays();
-    for name in &w.check {
-        for (x, y) in got[name].iter().zip(&want[name]) {
-            assert_eq!(x.to_bits(), y.to_bits(), "`{name}` diverges after 504");
-        }
-    }
+    assert_bitwise(&output_arrays(&body), &direct_run(&w), &w.check);
 }
 
 /// Malformed and oversized submissions produce typed 4xx errors with
@@ -401,8 +442,106 @@ fn bad_requests_get_typed_errors() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("SDFG-X002"), "{body}");
 
+    // Hostile nesting is a 400, not a stack overflow that aborts the
+    // process, whether it arrives as a program or as invoke fields.
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let (status, _, body) = http(addr, "POST", "/v1/programs", &[], deep.as_bytes());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let deep_field = format!("{{\"symbols\":{deep}}}");
+    let (status, _, body) = http(
+        addr,
+        "POST",
+        &format!("/v1/programs/{handle}/invoke"),
+        &[],
+        deep_field.as_bytes(),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("SDFG-S002"), "{body}");
+
     // Health endpoint stays green through all of it.
     let (status, _, body) = http(addr, "GET", "/healthz", &[], b"");
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
+}
+
+/// Back-to-back small invokes on one keep-alive connection, with a
+/// health check and a 400 in between, come back correctly framed,
+/// bitwise equal to a direct run, and fast: a response whose body
+/// waited on the client's delayed ACK of its head took about 40 ms.
+#[test]
+fn keep_alive_invokes_are_framed_exact_and_fast() {
+    let server = start_server(2, 4, 2);
+    let mut conn = KeepAlive::connect(server.addr());
+    let w = kernel("atax");
+    let (status, _, body) = conn.request("POST", "/v1/programs", to_json(&w.sdfg).as_bytes());
+    assert_eq!(status, 201, "{body}");
+    let path = format!("/v1/programs/{}/invoke", submitted_hash(&body));
+    let invoke = invoke_body(&w.symbols, &w.arrays);
+    let want = direct_run(&w);
+
+    let mut latencies = Vec::new();
+    for i in 0..24 {
+        let t0 = Instant::now();
+        let (status, head, body) = conn.request("POST", &path, invoke.as_bytes());
+        latencies.push(t0.elapsed());
+        assert_eq!(status, 200, "invoke {i}: {body}");
+        assert!(
+            head.contains("connection: keep-alive"),
+            "invoke {i}: {head}"
+        );
+        assert_bitwise(&output_arrays(&body), &want, &w.check);
+        if i == 11 {
+            let (status, _, body) = conn.request("GET", "/healthz", b"");
+            assert_eq!((status, body.as_str()), (200, "ok\n"));
+            let (status, head, body) = conn.request("POST", &path, b"{\"arrays\":{\"x\":[1,");
+            assert_eq!(status, 400, "{body}");
+            assert!(
+                body.contains("SDFG-S002") && body.contains("(line 1"),
+                "{body}"
+            );
+            assert!(head.contains("connection: keep-alive"), "{head}");
+        }
+    }
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median keep-alive invoke took {median:?}: {latencies:?}"
+    );
+}
+
+/// An invoke whose containers would not fit the per-invoke byte budget
+/// is refused with a typed 413 before anything is allocated, and the
+/// server keeps serving. (atax with M = 10^12 once asked the allocator
+/// for 8 TB and aborted the process.)
+#[test]
+fn over_budget_invoke_gets_413_and_serving_continues() {
+    let server = start_server(2, 4, 2);
+    let addr = server.addr();
+    let w = kernel("atax");
+    let (status, _, body) = http(
+        addr,
+        "POST",
+        "/v1/programs",
+        &[],
+        to_json(&w.sdfg).as_bytes(),
+    );
+    assert!(status == 200 || status == 201, "{body}");
+    let path = format!("/v1/programs/{}/invoke", submitted_hash(&body));
+
+    // N = 0 empties every bound array; only the transient `tmp[M]` is big.
+    let symbols = [("M".to_string(), 1_000_000_000_000), ("N".to_string(), 0)];
+    let empty = w.arrays.keys().map(|k| (k.clone(), Vec::new())).collect();
+    let huge = invoke_body(&symbols, &empty);
+    let (status, _, body) = http(addr, "POST", &path, &[], huge.as_bytes());
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("SDFG-X005"), "{body}");
+
+    let invoke = invoke_body(&w.symbols, &w.arrays);
+    let (status, _, body) = http(addr, "POST", &path, &[], invoke.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    assert_bitwise(&output_arrays(&body), &direct_run(&w), &w.check);
+    let (status, _, _) = http(addr, "GET", "/healthz", &[], b"");
+    assert_eq!(status, 200);
 }
