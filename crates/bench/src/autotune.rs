@@ -127,15 +127,11 @@ fn measure(
     w: &Workload,
     cfg: &TuneConfig,
     setup: impl FnOnce(SessionBuilder) -> SessionBuilder,
-) -> f64 {
-    let session = setup(w.session()).build().expect("session");
-    median_ms(warm_batch_mins(
-        &session,
-        w.bindings(),
-        cfg.warmup,
-        cfg.reps,
-        cfg.repeat,
-    ))
+) -> Result<f64, String> {
+    let session = setup(w.session()).build().map_err(|e| e.to_string())?;
+    let mins = warm_batch_mins(&session, w.bindings(), cfg.warmup, cfg.reps, cfg.repeat)
+        .map_err(|e| e.to_string())?;
+    Ok(median_ms(mins))
 }
 
 /// Bumps the outcome counter and appends the ledger trial record.
@@ -173,7 +169,7 @@ pub fn tune_kernel(name: &str, cfg: &TuneConfig) -> Result<TuneOutcome, String> 
     // The incumbent: the Aggressive-equivalent default configuration,
     // measured through the real Aggressive pipeline path.
     let mut best = TunedConfig::default();
-    let baseline_ms = measure(&w, cfg, |b| b.opt_level(OptLevel::Aggressive));
+    let baseline_ms = measure(&w, cfg, |b| b.opt_level(OptLevel::Aggressive))?;
     let mut best_ms = baseline_ms;
     println!(
         "autotune {name}: scale {} | {} reps x {} batches | budget {} | baseline {:.3} ms",
@@ -223,7 +219,7 @@ pub fn tune_kernel(name: &str, cfg: &TuneConfig) -> Result<TuneOutcome, String> 
                 println!("  [{stage}] {label}: REJECTED (outputs differ from untuned)");
                 continue;
             }
-            let warm = measure(&w, cfg, |b| b.tuned_config(candidate.clone()));
+            let warm = measure(&w, cfg, |b| b.tuned_config(candidate.clone()))?;
             let outcome = if warm < best_ms {
                 "improved"
             } else {

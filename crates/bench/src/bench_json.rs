@@ -19,6 +19,7 @@
 use crate::obs::{core_snapshot, CoreSnapshot};
 use crate::targets::{run_workload_targeted, target_json_fields, Target, TargetRun};
 use sdfg_core::serialize::parse_json;
+use sdfg_core::SdfgError;
 use sdfg_exec::OptLevel;
 use sdfg_profile::metrics::{log_buckets, Histogram};
 use sdfg_workloads::polybench;
@@ -123,7 +124,7 @@ pub struct BenchResult {
     /// Thread count the warm executor ran with.
     pub nthreads: usize,
     /// Work-stealing scheduler counters from the warm executor's pool
-    /// (`None` when the run stayed serial or used `SDFG_SCHED=static`).
+    /// (`None` when the run stayed serial).
     pub sched: Option<sdfg_exec::SchedStats>,
     /// Growth of the global core metric counters over this kernel's
     /// measurement (launches, cache hits, bytes moved, ...).
@@ -212,31 +213,32 @@ pub(crate) fn median_ms(mut xs: Vec<f64>) -> f64 {
 /// One session, many invokes: compilation and planning are paid during
 /// warmup and cached, and each run's outputs feed the next run's inputs
 /// in place ([`sdfg_exec::Outputs::into_bindings`]) — the same
-/// state-reuse discipline the legacy executor-reuse protocol had.
+/// state-reuse discipline the legacy executor-reuse protocol had. The
+/// first failing invoke ends the measurement with its error.
 pub(crate) fn warm_batch_mins(
     session: &sdfg_exec::Session,
     bindings: sdfg_exec::Bindings,
     warmup: usize,
     reps: usize,
     repeat: usize,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, SdfgError> {
     let mut b = bindings;
     for _ in 0..warmup.max(1) {
-        b = session.run(b).expect("warmup run").into_bindings();
+        b = session.run(b)?.into_bindings();
     }
     (0..repeat.max(1))
         .map(|_| {
-            let batch: Vec<f64> = (0..reps.max(1))
+            let batch = (0..reps.max(1))
                 .map(|_| {
                     let inputs = std::mem::take(&mut b);
                     let t0 = Instant::now();
-                    let out = session.run(inputs).expect("warm run");
+                    let out = session.run(inputs)?;
                     let dt = t0.elapsed().as_secs_f64() * 1e3;
                     b = out.into_bindings();
-                    dt
+                    Ok(dt)
                 })
-                .collect();
-            best_ms(batch)
+                .collect::<Result<Vec<f64>, SdfgError>>()?;
+            Ok(best_ms(batch))
         })
         .collect()
 }
@@ -244,8 +246,9 @@ pub(crate) fn warm_batch_mins(
 /// Measures one kernel under the warm/cold protocol. With an opt level,
 /// a third measurement runs the same workload through the automatic
 /// optimization pipeline (same warmup, same executor-reuse discipline) so
-/// optimized and unoptimized warm times are directly comparable.
-pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
+/// optimized and unoptimized warm times are directly comparable. A
+/// failing session (say, an unreadable tuning database) is an error.
+pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> Result<BenchResult, SdfgError> {
     let (scale, reps, warmup) = (cfg.scale, cfg.reps, cfg.warmup);
     let (opt, target) = (cfg.opt, cfg.target);
     let kernel = polybench::all()
@@ -263,21 +266,21 @@ pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
     // The interpreted-tier measurements pin the JIT off, so `cold_ms` and
     // `warm_ms` stay comparable with baselines recorded before the JIT
     // tier existed; the JIT leg below measures the tier separately.
-    let cold: Vec<f64> = (0..reps.max(1))
+    let cold = (0..reps.max(1))
         .map(|_| {
             let builder = w.session().jit(false);
             let inputs = w.bindings();
             let t0 = Instant::now();
-            let session = builder.build().expect("session");
-            session.run(inputs).expect("cold run");
-            t0.elapsed().as_secs_f64() * 1e3
+            let session = builder.build()?;
+            session.run(inputs)?;
+            Ok(t0.elapsed().as_secs_f64() * 1e3)
         })
-        .collect();
+        .collect::<Result<Vec<f64>, SdfgError>>()?;
 
     // Warm: one session; lowering is paid once, then cached. `--repeat`
     // runs several independent batches; each contributes its minimum.
-    let session = w.session().jit(false).build().expect("session");
-    let batch_mins = warm_batch_mins(&session, w.bindings(), warmup, reps, cfg.repeat);
+    let session = w.session().jit(false).build()?;
+    let batch_mins = warm_batch_mins(&session, w.bindings(), warmup, reps, cfg.repeat)?;
     let cache = session.cache_stats();
     let pool = session.pool_stats();
     let nthreads = session.nthreads();
@@ -300,8 +303,8 @@ pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
         } else {
             builder = builder.opt_level(opt);
         }
-        let osession = builder.build().expect("session");
-        let opt_warm = warm_batch_mins(&osession, w.bindings(), warmup, reps, 1);
+        let osession = builder.build()?;
+        let opt_warm = warm_batch_mins(&osession, w.bindings(), warmup, reps, 1)?;
         let passes = osession.opt_report().map(|r| r.applied.len()).unwrap_or(0);
         let hit = (opt == OptLevel::Tuned).then(|| osession.tuned_config().is_some());
         (Some(best_ms(opt_warm)), Some(passes), hit)
@@ -313,8 +316,8 @@ pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
     let (jit_warm_ms, jit_compile_ms, nest_calls, nest_points) = if target == Target::Cpu {
         let jit_before = sdfg_exec::jit::stats();
         let nest_before = core_snapshot();
-        let jsession = w.session().jit(true).build().expect("session");
-        let jit_mins = warm_batch_mins(&jsession, w.bindings(), warmup, reps, cfg.repeat);
+        let jsession = w.session().jit(true).build()?;
+        let jit_mins = warm_batch_mins(&jsession, w.bindings(), warmup, reps, cfg.repeat)?;
         let compile_ms = sdfg_exec::jit::stats().compile_ms - jit_before.compile_ms;
         let nests = core_snapshot().delta(&nest_before);
         (
@@ -335,7 +338,7 @@ pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
         Some(run_workload_targeted(&w, target).unwrap_or_else(|e| panic!("targeted run: {e}")))
     };
 
-    BenchResult {
+    Ok(BenchResult {
         kernel: name.to_string(),
         cold_ms: best_ms(cold),
         warm_ms: best_ms(batch_mins.clone()),
@@ -356,7 +359,7 @@ pub fn bench_kernel(name: &str, cfg: &BenchConfig) -> BenchResult {
         jit_compile_ms,
         nest_calls,
         nest_points,
-    }
+    })
 }
 
 fn kernel_json(r: &BenchResult, cfg: &BenchConfig) -> String {
@@ -581,8 +584,9 @@ pub fn opt_gate(results: &[BenchResult]) -> Vec<String> {
 /// and carries the expected schema, that every committed `BENCH_*.json`
 /// artifact under `bench_dir` parses with the *current* result schema
 /// (including the `--repeat` percentile fields and the `metrics` block),
-/// and that the baseline covers every such kernel. Returns failure
-/// messages (empty = pass).
+/// that the baseline covers every such kernel, and that the tuning
+/// database `bench_dir/tuned.json` (when present) loads with the current
+/// schema. Returns failure messages (empty = pass).
 pub fn baseline_check(baseline_path: &str, bench_dir: &str) -> Result<Vec<String>, String> {
     let src = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
@@ -684,6 +688,12 @@ pub fn baseline_check(baseline_path: &str, bench_dir: &str) -> Result<Vec<String
             ));
         }
     }
+    // Through the real loader, so a schema bump that leaves the committed
+    // database behind fails here instead of in `--opt=tuned`.
+    let db = std::path::Path::new(bench_dir).join("tuned.json");
+    if let Err(e) = sdfg_exec::TuningDb::load(&db) {
+        failures.push(format!("`{}`: {e}", db.display()));
+    }
     Ok(failures)
 }
 
@@ -733,56 +743,59 @@ pub fn run_bench(cfg: &BenchConfig) -> bool {
         "{:<16} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10}{opt_cols}",
         "kernel", "cold ms", "warm ms", "median ms", "speedup", "cache hit", "pool reuse"
     );
-    let results: Vec<BenchResult> = cfg
-        .kernels
-        .iter()
-        .map(|name| {
-            let r = bench_kernel(name, cfg);
-            let opt_cols = match (r.opt_warm_ms, r.opt_speedup()) {
-                (Some(o), Some(s)) => format!(" {o:>10.3} {s:>7.2}x"),
-                _ => String::new(),
-            };
+    let mut results: Vec<BenchResult> = Vec::with_capacity(cfg.kernels.len());
+    for name in &cfg.kernels {
+        let r = match bench_kernel(name, cfg) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("bench: {name}: {e}");
+                return false;
+            }
+        };
+        let opt_cols = match (r.opt_warm_ms, r.opt_speedup()) {
+            (Some(o), Some(s)) => format!(" {o:>10.3} {s:>7.2}x"),
+            _ => String::new(),
+        };
+        println!(
+            "{:<16} {:>10.3} {:>10.3} {:>10.3} {:>8.2}x {:>9.1}% {:>9.1}%{opt_cols}",
+            r.kernel,
+            r.cold_ms,
+            r.warm_ms,
+            r.warm_median_ms,
+            r.speedup(),
+            r.cache_hit_rate * 100.0,
+            r.pool_reuse_rate * 100.0
+        );
+        if cfg.repeat > 1 {
             println!(
-                "{:<16} {:>10.3} {:>10.3} {:>10.3} {:>8.2}x {:>9.1}% {:>9.1}%{opt_cols}",
-                r.kernel,
-                r.cold_ms,
-                r.warm_ms,
-                r.warm_median_ms,
-                r.speedup(),
-                r.cache_hit_rate * 100.0,
-                r.pool_reuse_rate * 100.0
+                "  warm batches: p05 {:.3} ms | median {:.3} ms | p95 {:.3} ms",
+                r.warm_p05_ms, r.warm_median_ms, r.warm_p95_ms
             );
-            if cfg.repeat > 1 {
-                println!(
-                    "  warm batches: p05 {:.3} ms | median {:.3} ms | p95 {:.3} ms",
-                    r.warm_p05_ms, r.warm_median_ms, r.warm_p95_ms
-                );
-            }
-            if let Some(s) = &r.sched {
-                println!(
-                    "  sched: {} launches, {} tiles, {} steals across {} workers",
-                    s.launches,
-                    s.total_tiles(),
-                    s.total_steals(),
-                    s.nworkers
-                );
-            }
-            if let (Some(jit), Some(calls)) = (r.jit_speedup(), r.nest_calls) {
-                println!(
-                    "  jit: {jit:.2}x over interpreted warm | {calls} nest calls, {} nest points | \
-                     {} interstate evals",
-                    r.nest_points.unwrap_or(0),
-                    r.metrics.interstate_evals,
-                );
-            }
-            if cfg.json {
-                let path = format!("BENCH_{}.json", r.kernel);
-                std::fs::write(&path, kernel_json(&r, cfg)).expect("write bench json");
-                eprintln!("  wrote {path}");
-            }
-            r
-        })
-        .collect();
+        }
+        if let Some(s) = &r.sched {
+            println!(
+                "  sched: {} launches, {} tiles, {} steals across {} workers",
+                s.launches,
+                s.total_tiles(),
+                s.total_steals(),
+                s.nworkers
+            );
+        }
+        if let (Some(jit), Some(calls)) = (r.jit_speedup(), r.nest_calls) {
+            println!(
+                "  jit: {jit:.2}x over interpreted warm | {calls} nest calls, {} nest points | \
+                 {} interstate evals",
+                r.nest_points.unwrap_or(0),
+                r.metrics.interstate_evals,
+            );
+        }
+        if cfg.json {
+            let path = format!("BENCH_{}.json", r.kernel);
+            std::fs::write(&path, kernel_json(&r, cfg)).expect("write bench json");
+            eprintln!("  wrote {path}");
+        }
+        results.push(r);
+    }
 
     let mut ok = true;
     if cfg.target != Target::Cpu {
@@ -1148,6 +1161,12 @@ mod tests {
             failures.iter().any(|f| f.contains("`metrics`")),
             "{failures:?}"
         );
+        // A tuning database at another schema version: failure.
+        std::fs::remove_file(dir.join("BENCH_lu.json")).unwrap();
+        std::fs::write(dir.join("tuned.json"), "{\"schema\": 2, \"entries\": []}").unwrap();
+        let failures = baseline_check(base_path.to_str().unwrap(), dir.to_str().unwrap()).unwrap();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("schema version 2"), "{failures:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

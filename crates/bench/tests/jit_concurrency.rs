@@ -29,7 +29,7 @@ fn concurrent_invokes_share_one_compiled_artifact() {
     });
     let after_cold = jit::stats();
     let cold = after_cold.compiles - before.compiles;
-    let loaded = after_cold.cache_hits - before.cache_hits;
+    let loaded = after_cold.disk_loads - before.disk_loads;
     // gemm lowers a handful of map bodies (the beta scale, the
     // contraction); eight concurrent cold invokes must materialize each
     // exactly once — by compiling, or by loading a prior run's artifact
@@ -59,16 +59,21 @@ fn concurrent_invokes_share_one_compiled_artifact() {
     }
 
     // A second session (private plan cache) lowers the same maps again:
-    // every kernel must hit the in-process registry, compiling nothing.
+    // every kernel must hit the in-process registry, compiling and
+    // loading nothing.
     let session2 = w.session().build().unwrap();
     let o = session2.run(w.bindings()).unwrap();
     assert!(
         o.stats().jit_points > 0,
         "second session missed the JIT tier"
     );
+    let after_second = jit::stats();
     assert_eq!(
-        jit::stats().compiles,
-        after_cold.compiles,
+        after_second.compiles, after_cold.compiles,
         "a second session recompiled an already-shared artifact"
+    );
+    assert_eq!(
+        after_second.disk_loads, after_cold.disk_loads,
+        "a second session reloaded an already-shared artifact"
     );
 }

@@ -322,8 +322,10 @@ pub(crate) fn exec_map(
         prof_close(worker);
         return Ok(());
     }
-    // --- work-stealing path (the default) -----------------------------------------
-    if let Some(pool) = ctx.sched.clone().filter(|_| eligible) {
+    // Launch-time tuning, only for launches the pool may take: the
+    // controller decides tiles from the estimated volume, and the timing
+    // feedback below closes its loop. Serial launches pay for neither.
+    let steal = ctx.sched.as_ref().filter(|_| eligible).map(|pool| {
         let volume = (n0 as u64).saturating_mul(inner_points_estimate(&plan, n0));
         let decision = ctx
             .plan
@@ -334,140 +336,49 @@ pub(crate) fn exec_map(
         } else {
             None
         };
-        let t0 = std::time::Instant::now();
-        let (r, workers) = match &tiles {
-            Some(ts) => {
-                ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
-                // Whole-nest fast path: one native call per tile running
-                // the full inner nest; falls through to the per-row steal
-                // path on any decline.
-                let r = match crate::nest::try_map_nest_steal(
-                    ctx, &plan, worker, base, pkey, ts, &pool,
-                ) {
-                    Some(r) => r,
-                    None => {
-                        run_map_steal(ctx, sid, tree, &plan, worker, base, ts, &pool, pmode, pkey)
-                    }
-                };
-                (r, pool.nworkers())
-            }
-            None => {
-                let was_nested = worker.nested;
-                worker.nested = true;
-                let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
-                    run_map_fast(ctx, sid, &plan, worker, base, &bounds)
-                } else {
-                    run_map_serial(
-                        ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-                    )
-                };
-                worker.nested = was_nested;
-                (r, 1)
-            }
-        };
-        if r.is_ok() {
-            // Per-launch timing feedback. Serial samples are exact
-            // per-point costs; parallel samples divide ideal speedup back
-            // out, so they can only demote launches that are cheap even
-            // under perfect scaling.
-            ctx.plan
-                .tuning
-                .observe(pkey, volume, t0.elapsed().as_nanos() as u64, workers);
-        }
-        pop(worker);
-        return r.map(|()| prof_close(worker));
-    }
-    // --- legacy paths: serial, or `SDFG_SCHED=static` spawn-per-launch chunking ----
-    if !eligible || n0 == 1 {
-        let was_nested = worker.nested;
-        worker.nested = true;
-        // Env-free fast nest: constant bounds + fully-affine tasklet body
-        // lets the whole iteration space run on integer loops without
-        // symbolic evaluation or environment updates per point.
-        let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
-            run_map_fast(ctx, sid, &plan, worker, base, &bounds)
-        } else {
-            run_map_serial(
-                ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
-            )
-        };
-        worker.nested = was_nested;
-        pop(worker);
-        if r.is_ok() {
-            prof_close(worker);
-        }
-        return r;
-    }
-    ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
-    // Chunk dim 0 across threads.
-    let nthreads = ctx.nthreads.min(n0);
-    let chunk = n0.div_ceil(nthreads);
-    let base_env = worker.env.clone();
-    let mut first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for t in 0..nthreads {
-            let lo = d0s + (t * chunk) as i64 * d0st;
-            let hi = (d0s + ((t + 1) * chunk) as i64 * d0st).min(d0e);
-            if lo >= d0e {
-                break;
-            }
-            let env = base_env.clone();
-            let body = &plan.body;
-            let params = &plan.params;
-            let ranges = &plan.ranges;
-            let first_err = &first_err;
-            let pstack = worker.pstack.clone();
-            let pcounts = worker.pcounts.clone();
-            scope.spawn(move || {
-                let mut w = Worker::new(ctx, env);
-                w.nested = true;
-                w.pstack = pstack;
-                w.pcounts = pcounts;
-                w.chunk_param = Some(base);
-                w.point = vec![0; w.pstack.len()];
-                // Timeline span per worker chunk (the parent records the
-                // aggregate launch; tiers attribute to this map here too).
-                let cstart = match (pmode, &ctx.prof) {
-                    (ProfMode::Timer, Some(p)) => {
-                        w.cur_map = Some(pkey);
-                        Some(p.collector.now_ns())
-                    }
-                    _ => None,
-                };
-                if let Err(e) = run_map_serial(
-                    ctx, sid, tree, params, ranges, body, &mut w, base, lo, hi, d0st,
-                ) {
-                    let mut slot = first_err.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                }
-                if let (Some(s), Some(p)) = (cstart, &ctx.prof) {
-                    let dur = p.collector.now_ns().saturating_sub(s);
-                    if let Some(wp) = w.prof.as_mut() {
-                        wp.timeline.push(Span {
-                            key: SpanKey::Map {
-                                state: pkey.0,
-                                node: pkey.1,
-                            },
-                            worker: wp.worker,
-                            start_ns: s,
-                            dur_ns: dur,
-                        });
-                    }
-                }
-                w.flush_stats();
-            });
-        }
+        (pool, volume, tiles, std::time::Instant::now())
     });
-    pop(worker);
-    match first_err.get_mut().take() {
-        Some(e) => Err(e),
-        None => {
-            prof_close(worker);
-            Ok(())
+    let (r, workers) = match &steal {
+        Some((pool, _, Some(ts), _)) => {
+            ctx.stats.parallel_regions.fetch_add(1, Ordering::Relaxed);
+            // Whole-nest fast path: one native call per tile running the
+            // full inner nest; falls through to the per-row steal path on
+            // any decline.
+            let r = match crate::nest::try_map_nest_steal(ctx, &plan, worker, base, pkey, ts, pool)
+            {
+                Some(r) => r,
+                None => run_map_steal(ctx, sid, tree, &plan, worker, base, ts, pool, pmode, pkey),
+            };
+            (r, pool.nworkers())
         }
+        _ => {
+            let was_nested = worker.nested;
+            worker.nested = true;
+            // Env-free fast nest: constant bounds + fully-affine tasklet
+            // body lets the whole iteration space run on integer loops
+            // without symbolic evaluation or environment updates per point.
+            let r = if let Some(bounds) = env_free_bounds(&plan, worker) {
+                run_map_fast(ctx, sid, &plan, worker, base, &bounds)
+            } else {
+                run_map_serial(
+                    ctx, sid, tree, params, ranges, body, worker, base, d0s, d0e, d0st,
+                )
+            };
+            worker.nested = was_nested;
+            (r, 1)
+        }
+    };
+    if let (Some((_, volume, _, t0)), Ok(())) = (&steal, &r) {
+        // Per-launch timing feedback. Serial samples are exact per-point
+        // costs; parallel samples divide ideal speedup back out, so they
+        // can only demote launches that are cheap even under perfect
+        // scaling.
+        ctx.plan
+            .tuning
+            .observe(pkey, *volume, t0.elapsed().as_nanos() as u64, workers);
     }
+    pop(worker);
+    r.map(|()| prof_close(worker))
 }
 
 /// Estimated points per dim-0 iteration from the plan's static iteration
@@ -496,8 +407,7 @@ fn inner_points_estimate(plan: &MapPlan, n0: usize) -> u64 {
 /// arrival order. Generic subgraph bodies can lazily compile atomic
 /// tasklets inside a tile, so they are excluded wholesale. Launches that
 /// fail the gate run serially, keeping repeated runs bitwise identical
-/// regardless of steal timing (`SDFG_SCHED=static` retains the old
-/// opportunistic behaviour).
+/// regardless of steal timing.
 fn steal_deterministic(body: &MapBody) -> bool {
     match body {
         MapBody::Tasklets(ts, _) => ts
@@ -512,8 +422,7 @@ fn steal_deterministic(body: &MapBody) -> bool {
 pub(crate) enum TileSet {
     /// Dim-0 tiling: each tile is a `[lo, hi)` value range on the map's
     /// own step grid. The general case — any body, WCR included, since
-    /// disjoint dim-0 ranges preserve the chunk-dominance race analysis
-    /// exactly like the legacy static chunks did.
+    /// disjoint dim-0 ranges preserve the chunk-dominance race analysis.
     Dim0 {
         /// Dim-0 step.
         step: i64,

@@ -398,8 +398,7 @@ impl<'s> Runtime<'s> {
     /// share lowered plans.
     fn target_tag(&mut self) -> Result<u64, ExecError> {
         use std::hash::{Hash, Hasher};
-        self.exec.ensure_optimized()?;
-        let sdfg = self.exec.active_sdfg();
+        let sdfg = self.exec.sdfg;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for sid in sdfg.graph.node_ids() {
             let bidx = route_state(&self.backends, sdfg, sid)?;

@@ -18,9 +18,7 @@ use sdfg_profile::{
     WorkerProfile,
 };
 use sdfg_symbolic::{Env, EvalError};
-use sdfg_transforms::{
-    optimize_tuned, optimize_with_env, OptLevel, OptimizationReport, TunedConfig, TuningDb,
-};
+use sdfg_transforms::{OptLevel, TunedConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -56,9 +54,6 @@ pub enum ExecError {
     Timeout(u64),
     /// Structural problem.
     BadGraph(String),
-    /// The automatic optimization pipeline failed (the original SDFG is
-    /// left untouched; the run is aborted rather than silently degraded).
-    Optimization(String),
 }
 
 impl fmt::Display for ExecError {
@@ -77,7 +72,6 @@ impl fmt::Display for ExecError {
             ExecError::StepLimit(n) => write!(f, "exceeded {n} transitions"),
             ExecError::Timeout(ms) => write!(f, "exceeded the {ms} ms deadline"),
             ExecError::BadGraph(m) => write!(f, "malformed graph: {m}"),
-            ExecError::Optimization(m) => write!(f, "optimization: {m}"),
         }
     }
 }
@@ -121,9 +115,12 @@ impl From<RuntimeError> for ExecError {
     }
 }
 
-/// The optimizing executor. API mirrors the reference interpreter.
+/// The raw engine: runs the borrowed SDFG as given. API mirrors the
+/// reference interpreter. Optimization, tuning and thread configuration
+/// are resolved by [`crate::session::Session`], which stamps its results
+/// on a fresh executor per invoke.
 pub struct Executor<'s> {
-    sdfg: &'s Sdfg,
+    pub(crate) sdfg: &'s Sdfg,
     /// Array storage by name.
     pub arrays: HashMap<String, Vec<f64>>,
     /// Stream contents by name.
@@ -131,8 +128,8 @@ pub struct Executor<'s> {
     /// Symbol bindings.
     pub symbols: Env,
     /// Worker thread count (defaults to `SDFG_NTHREADS` when set, else
-    /// available parallelism); prefer [`Executor::set_nthreads`], which
-    /// also keeps the scheduler pool in sync.
+    /// available parallelism); the scheduler pool is resized to match on
+    /// the next `run`.
     pub nthreads: usize,
     /// Maximum state transitions.
     pub max_transitions: usize,
@@ -148,40 +145,22 @@ pub struct Executor<'s> {
     /// Transient/scratch buffer pool (shareable via
     /// [`Executor::with_buffer_pool`]).
     pub(crate) pool: std::sync::Arc<BufferPool>,
-    /// The persistent work-stealing scheduler pool: built lazily on the
-    /// first `run` with `nthreads > 1` (and rebuilt if the thread count
-    /// changes), shared with nested-SDFG executors. `None` while serial
-    /// or under `SDFG_SCHED=static`.
+    /// The persistent work-stealing scheduler pool: present exactly when
+    /// `nthreads > 1` (built on the first such `run`, rebuilt if the
+    /// thread count changes), shared with nested-SDFG executors.
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
-    /// Memoized content hash of the *active* graph — sound to compute once
-    /// because the caller's SDFG sits behind an immutable borrow for the
-    /// executor's whole lifetime, and the optimized copy is rebuilt (and
-    /// this memo cleared) whenever the opt level changes.
+    /// Memoized content hash of the borrowed graph — sound to compute once
+    /// because the SDFG sits behind an immutable borrow for the executor's
+    /// whole lifetime.
     pub(crate) sdfg_hash: Option<u64>,
-    /// Requested optimization level for `run` (default: none).
+    /// Optimization level the borrowed graph was compiled at, stamped by
+    /// [`crate::session::Session`] for the run ledger (default: none).
     pub(crate) opt_level: OptLevel,
-    /// The optimized copy of the SDFG, built lazily on the first `run`
-    /// after [`Executor::set_opt_level`]. `None` means "execute the
-    /// caller's graph as-is". Boxed so the executor stays cheap to move.
-    opt_sdfg: Option<Box<Sdfg>>,
-    /// Report from the pipeline run that produced `opt_sdfg`.
-    pub(crate) opt_report: Option<OptimizationReport>,
-    /// Tuning database consulted under [`OptLevel::Tuned`] (set via
-    /// [`Executor::set_tuning_db`]; defaults to the `SDFG_TUNED_DB`
-    /// environment variable when unset).
-    tuning_db_path: Option<std::path::PathBuf>,
-    /// Explicit tuned configuration ([`Executor::set_tuned_config`]);
-    /// takes precedence over any database lookup.
+    /// Tuned configuration the session resolved: its JIT knobs apply to
+    /// every run.
     pub(crate) tuned_cfg: Option<TunedConfig>,
-    /// Scheduler grain override from the tuned configuration in effect
-    /// (resolved together with `opt_sdfg`).
+    /// Scheduler grain override from the tuned configuration.
     pub(crate) grain_ns: Option<u64>,
-    /// Set by [`crate::session::Session`] when the borrowed graph is
-    /// *already* the output of the optimization pipeline: `run` must not
-    /// optimize again, but `opt_level`/`opt_report`/`tuned_cfg` still
-    /// describe the pipeline that produced it (for reports and the run
-    /// ledger).
-    pub(crate) preoptimized: bool,
     /// Wall-clock deadline for the next `run`: checked between state
     /// executions, so an expired deadline cancels the run with
     /// [`ExecError::Timeout`] without tearing down mid-state.
@@ -294,9 +273,8 @@ pub(crate) struct Ctx<'s> {
     /// Scratch allocator for worker-local transients, shared with the
     /// executor's transient storage.
     pub(crate) pool: std::sync::Arc<BufferPool>,
-    /// Work-stealing scheduler for parallel map launches (`None` while
-    /// serial or under `SDFG_SCHED=static`, which selects the legacy
-    /// spawn-per-launch path).
+    /// Work-stealing scheduler for parallel map launches: `Some` exactly
+    /// when `nthreads > 1`.
     pub(crate) sched: Option<std::sync::Arc<crate::sched::SchedPool>>,
     /// Per-tile time-target override for the steal scheduler's grain
     /// controller, from the active tuned configuration. Carried per run
@@ -593,11 +571,7 @@ impl<'s> Executor<'s> {
             arrays: HashMap::new(),
             streams: HashMap::new(),
             symbols: Env::new(),
-            nthreads: crate::sched::env_nthreads().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
+            nthreads: crate::sched::default_nthreads(),
             max_transitions: 10_000_000,
             stats: Stats::default(),
             profiling: Profiling::default(),
@@ -607,12 +581,8 @@ impl<'s> Executor<'s> {
             sched: None,
             sdfg_hash: None,
             opt_level: OptLevel::None,
-            opt_sdfg: None,
-            opt_report: None,
-            tuning_db_path: None,
             tuned_cfg: None,
             grain_ns: None,
-            preoptimized: false,
             deadline: None,
             deadline_ms: 0,
             owned_transients: HashSet::new(),
@@ -620,138 +590,6 @@ impl<'s> Executor<'s> {
             jit: None,
             last_plan: None,
         }
-    }
-
-    /// Selects the optimization level for subsequent `run`s. The pipeline
-    /// runs once, lazily, at the start of the next `run` (so cost hints see
-    /// the symbol bindings in effect then); changing the level discards the
-    /// optimized copy and the content-hash memo, so the plan cache re-keys
-    /// on the optimized graph's hash.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::opt_level`](crate::session::SessionBuilder::opt_level):
-    /// the session facade configures everything up front and compiles
-    /// once, where this mutate-after-construct path invalidates state.
-    /// Kept (hidden) for the engine's own internals.
-    #[doc(hidden)]
-    pub fn set_opt_level(&mut self, level: OptLevel) -> &mut Self {
-        if level != self.opt_level {
-            self.opt_level = level;
-            self.discard_optimized();
-        }
-        self
-    }
-
-    /// The optimization level in effect.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
-    }
-
-    /// Report from the optimization pipeline, once a `run` has triggered it.
-    pub fn opt_report(&self) -> Option<&OptimizationReport> {
-        self.opt_report.as_ref()
-    }
-
-    /// Points [`OptLevel::Tuned`] runs at a tuning database
-    /// (`bench/tuned.json`). Implies `set_opt_level(OptLevel::Tuned)`.
-    /// Without this (or the `SDFG_TUNED_DB` environment variable), tuned
-    /// runs always miss and fall back to `Aggressive`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::tuning_db`](crate::session::SessionBuilder::tuning_db).
-    #[doc(hidden)]
-    pub fn set_tuning_db(&mut self, path: impl Into<std::path::PathBuf>) -> &mut Self {
-        self.tuning_db_path = Some(path.into());
-        self.opt_level = OptLevel::Tuned;
-        self.discard_optimized();
-        self
-    }
-
-    /// Installs an explicit tuned configuration, bypassing any database
-    /// lookup (the search driver uses this to measure candidates). Implies
-    /// `set_opt_level(OptLevel::Tuned)`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::tuned_config`](crate::session::SessionBuilder::tuned_config).
-    #[doc(hidden)]
-    pub fn set_tuned_config(&mut self, cfg: TunedConfig) -> &mut Self {
-        self.tuned_cfg = Some(cfg);
-        self.opt_level = OptLevel::Tuned;
-        self.discard_optimized();
-        self
-    }
-
-    /// The tuned configuration a `run` resolved (explicit or from the
-    /// database); `None` before the first tuned run or after a miss.
-    pub fn tuned_config(&self) -> Option<&TunedConfig> {
-        self.tuned_cfg.as_ref()
-    }
-
-    /// Drops the optimized copy (and everything keyed off it) so the next
-    /// `run` rebuilds it under the current level/config/thread count.
-    fn discard_optimized(&mut self) {
-        self.opt_sdfg = None;
-        self.opt_report = None;
-        self.sdfg_hash = None;
-        self.grain_ns = None;
-    }
-
-    /// Builds the optimized copy if the opt level asks for one and it does
-    /// not exist yet. On pipeline failure the original SDFG stays active.
-    ///
-    /// Under [`OptLevel::Tuned`] the measured configuration is resolved
-    /// first — an explicit [`Executor::set_tuned_config`] wins, otherwise
-    /// the tuning database is consulted with the *unoptimized* graph's
-    /// content hash, the run target and the thread count. A database miss
-    /// (or no database at all) degrades to the `Aggressive` pipeline; an
-    /// unreadable or schema-incompatible database is an error.
-    pub(crate) fn ensure_optimized(&mut self) -> Result<(), ExecError> {
-        if self.preoptimized || self.opt_level == OptLevel::None || self.opt_sdfg.is_some() {
-            return Ok(());
-        }
-        let mut opt = Box::new(self.sdfg.clone());
-        let report = if self.opt_level == OptLevel::Tuned {
-            match self.resolve_tuned_config()? {
-                Some(cfg) => {
-                    let r = optimize_tuned(&mut opt, &cfg, &self.symbols)
-                        .map_err(|e| ExecError::Optimization(e.to_string()))?;
-                    self.grain_ns = (cfg.grain_ns > 0).then_some(cfg.grain_ns);
-                    self.tuned_cfg = Some(cfg);
-                    r
-                }
-                None => optimize_with_env(&mut opt, OptLevel::Aggressive, &self.symbols)
-                    .map_err(|e| ExecError::Optimization(e.to_string()))?,
-            }
-        } else {
-            optimize_with_env(&mut opt, self.opt_level, &self.symbols)
-                .map_err(|e| ExecError::Optimization(e.to_string()))?
-        };
-        self.sdfg_hash = None;
-        self.opt_report = Some(report);
-        self.opt_sdfg = Some(opt);
-        Ok(())
-    }
-
-    /// The tuned configuration for this run: explicit config, else a
-    /// database lookup keyed by `(content_hash, target, nthreads)`.
-    fn resolve_tuned_config(&self) -> Result<Option<TunedConfig>, ExecError> {
-        if let Some(cfg) = &self.tuned_cfg {
-            return Ok(Some(cfg.clone()));
-        }
-        let path = match &self.tuning_db_path {
-            Some(p) => p.clone(),
-            None => match std::env::var_os("SDFG_TUNED_DB").filter(|v| !v.is_empty()) {
-                Some(v) => std::path::PathBuf::from(v),
-                None => return Ok(None),
-            },
-        };
-        let db = TuningDb::load(&path)
-            .map_err(ExecError::Optimization)?
-            .unwrap_or_default();
-        let chash = sdfg_core::serialize::content_hash(self.sdfg);
-        Ok(db
-            .lookup(chash, &self.run_target, self.nthreads.max(1) as u32)
-            .map(|e| e.config.clone()))
     }
 
     /// Shares a plan cache with other executors, so lowering one SDFG once
@@ -794,15 +632,7 @@ impl<'s> Executor<'s> {
     /// [`sdfg_profile::ExecCounters`] — available regardless of the
     /// profiling mode, including `Profiling::Off`.
     pub fn exec_counters(&self) -> sdfg_profile::ExecCounters {
-        let cache = self.plan_cache.stats();
-        let pool = self.pool.stats();
-        sdfg_profile::ExecCounters {
-            plan_cache_hits: cache.hits,
-            plan_cache_misses: cache.misses,
-            pool_acquires: pool.acquires,
-            pool_reuses: pool.reuses,
-            pool_bytes_reused: pool.bytes_reused,
-        }
+        counters(&self.plan_cache, &self.pool, None).0
     }
 
     /// Renders the hot-path counters footer (plan-cache/pool counters and
@@ -810,28 +640,14 @@ impl<'s> Executor<'s> {
     /// [`Executor::last_report`], this never requires instrumentation to
     /// be enabled: it works after a `Profiling::Off` run too.
     pub fn counters_footer(&self) -> String {
-        let sched = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
-        sdfg_profile::counters_footer(&self.exec_counters(), &sched)
+        let (exec, workers) = counters(&self.plan_cache, &self.pool, self.sched.as_deref());
+        sdfg_profile::counters_footer(&exec, &workers)
     }
 
-    /// Stable content hash of the *active* graph — the optimized copy when
-    /// one exists, the caller's SDFG otherwise (memoized after the first
-    /// call). This is the plan-cache key, so optimizing re-keys the cache.
+    /// Stable content hash of the borrowed graph (memoized after the first
+    /// call): the plan-cache key.
     pub fn content_hash(&mut self) -> u64 {
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
+        let sdfg = self.sdfg;
         *self
             .sdfg_hash
             .get_or_insert_with(|| sdfg_core::serialize::content_hash(sdfg))
@@ -843,29 +659,9 @@ impl<'s> Executor<'s> {
         self
     }
 
-    /// Pins the worker-thread count for subsequent `run`s, overriding both
-    /// the `SDFG_NTHREADS` environment variable and the default of
-    /// available parallelism. The scheduler pool is rebuilt to match on
-    /// the next `run`.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::nthreads`](crate::session::SessionBuilder::nthreads).
-    #[doc(hidden)]
-    pub fn set_nthreads(&mut self, n: usize) -> &mut Self {
-        let n = n.max(1);
-        if n != self.nthreads && self.opt_level == OptLevel::Tuned && self.tuned_cfg.is_none() {
-            // The tuning-DB key includes the thread count; re-resolve on
-            // the next run. An explicit config is thread-count-agnostic.
-            self.discard_optimized();
-        }
-        self.nthreads = n;
-        self
-    }
-
     /// Work-stealing scheduler counters: per-worker tiles/steals/idle plus
     /// launch totals, cumulative for the pool (which nested executors
-    /// share). `None` until a `run` has built the pool — i.e. while
-    /// serial or under `SDFG_SCHED=static`.
+    /// share). `None` until a `run` has built the pool, and while serial.
     pub fn sched_stats(&self) -> Option<crate::sched::SchedStats> {
         self.sched.as_ref().map(|p| p.stats())
     }
@@ -900,14 +696,6 @@ impl<'s> Executor<'s> {
         self.arrays.get(name).map(|v| v.as_slice())
     }
 
-    /// The graph `run` executes: the optimized copy when one exists.
-    pub(crate) fn active_sdfg(&self) -> &Sdfg {
-        match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        }
-    }
-
     /// Runs the SDFG; returns execution statistics.
     ///
     /// Repeat runs reuse the lowered plan: the plan cache is keyed by the
@@ -920,12 +708,9 @@ impl<'s> Executor<'s> {
 
     /// Enables or disables the JIT native-code lowering tier for
     /// subsequent runs, overriding the tuned configuration. The `SDFG_JIT`
-    /// environment variable still gates the tier globally.
-    ///
-    /// **Deprecated** in favor of
-    /// [`SessionBuilder::jit`](crate::session::SessionBuilder::jit); kept
-    /// (hidden) for the engine's own internals.
-    #[doc(hidden)]
+    /// environment variable still gates the tier globally. Sessions set
+    /// the same switch through
+    /// [`SessionBuilder::jit`](crate::session::SessionBuilder::jit).
     pub fn set_jit(&mut self, on: bool) -> &mut Self {
         self.jit = Some(on);
         self
@@ -942,7 +727,7 @@ impl<'s> Executor<'s> {
             .unwrap_or_default()
     }
 
-    /// Shared run protocol: optimize, allocate, lay out buffers, build the
+    /// Shared run protocol: allocate, lay out buffers, build the
     /// run context, hand control to `drive`, then tear down and snapshot
     /// statistics. [`Executor::run`] drives every state on the host;
     /// [`crate::dispatch::Runtime`] substitutes its own per-backend drive
@@ -953,7 +738,6 @@ impl<'s> Executor<'s> {
     {
         use sdfg_profile::flight;
         let run_t0 = std::time::Instant::now();
-        self.ensure_optimized()?;
         self.prepare()?;
         let chash = self.content_hash();
         if flight::enabled() {
@@ -964,10 +748,9 @@ impl<'s> Executor<'s> {
         let cache_before = self.plan_cache.stats();
         let pool_before = self.pool.stats();
         // Keep the scheduler pool in sync with the requested thread count;
-        // `SDFG_SCHED=static` (or a serial run) disables it, which routes
-        // parallel maps down the legacy spawn-per-launch path.
+        // a serial run has none.
         let nthreads = self.nthreads.max(1);
-        if nthreads > 1 && crate::sched::sched_mode() == crate::sched::SchedMode::Steal {
+        if nthreads > 1 {
             let rebuild = match &self.sched {
                 Some(p) => p.nworkers() != nthreads,
                 None => true,
@@ -988,13 +771,7 @@ impl<'s> Executor<'s> {
             && self
                 .jit
                 .unwrap_or_else(|| self.tuned_cfg.as_ref().is_none_or(|c| c.jit));
-        // The graph this run executes: the optimized copy when one exists.
-        // Borrowing the `opt_sdfg` field directly (not through a helper)
-        // keeps the later per-field writes below legal.
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
+        let sdfg = self.sdfg;
         // Move arrays into shared buffers (slot-indexed for hot paths).
         // Slots are assigned in sorted-name order so they are deterministic
         // run to run; `ensure_layout` drops slot-dependent plan artifacts
@@ -1074,32 +851,13 @@ impl<'s> Executor<'s> {
             self.stats.sched_tiles = after.total_tiles().saturating_sub(before.total_tiles());
             self.stats.sched_steals = after.total_steals().saturating_sub(before.total_steals());
         }
-        let cache_stats = self.plan_cache.stats();
-        let pool_stats = self.pool.stats();
-        let sched_workers = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
         self.last_report = ctx.prof.take().map(|p| {
             // Spans are process-epoch stamped; the run's wall time is the
             // collector's own age (it is built at run start).
             let wall = p.collector.elapsed();
             let mut report = p.collector.finish(wall);
-            report.exec = sdfg_profile::ExecCounters {
-                plan_cache_hits: cache_stats.hits,
-                plan_cache_misses: cache_stats.misses,
-                pool_acquires: pool_stats.acquires,
-                pool_reuses: pool_stats.reuses,
-                pool_bytes_reused: pool_stats.bytes_reused,
-            };
-            report.sched = sched_workers;
+            (report.exec, report.sched) =
+                counters(&self.plan_cache, &self.pool, self.sched.as_deref());
             report
         });
         result?;
@@ -1213,13 +971,7 @@ impl<'s> Executor<'s> {
     }
 
     fn prepare(&mut self) -> Result<(), ExecError> {
-        // Allocate per the active graph: the optimizer may have removed
-        // transients (RedundantArray) the original graph would allocate.
-        let sdfg: &Sdfg = match &self.opt_sdfg {
-            Some(b) => b,
-            None => self.sdfg,
-        };
-        for (name, desc) in &sdfg.data {
+        for (name, desc) in &self.sdfg.data {
             match desc {
                 DataDesc::Array(a) => {
                     let mut size = 1i64;
@@ -1280,6 +1032,31 @@ impl<'s> Executor<'s> {
         }
         Ok(())
     }
+}
+
+/// The always-on counters of an engine's shared resources: plan-cache and
+/// buffer-pool totals, plus per-worker scheduler lines once `sched` has
+/// run a launch. Cumulative, like the resources (which may be shared).
+pub(crate) fn counters(
+    cache: &PlanCache,
+    pool: &BufferPool,
+    sched: Option<&crate::sched::SchedPool>,
+) -> (sdfg_profile::ExecCounters, Vec<sdfg_profile::SchedWorker>) {
+    let c = cache.stats();
+    let p = pool.stats();
+    let exec = sdfg_profile::ExecCounters {
+        plan_cache_hits: c.hits,
+        plan_cache_misses: c.misses,
+        pool_acquires: p.acquires,
+        pool_reuses: p.reuses,
+        pool_bytes_reused: p.bytes_reused,
+    };
+    let workers = sched
+        .map(|s| s.stats())
+        .filter(|s| s.launches > 0)
+        .map(|s| s.workers)
+        .unwrap_or_default();
+    (exec, workers)
 }
 
 impl Drop for Executor<'_> {

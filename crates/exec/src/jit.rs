@@ -219,7 +219,8 @@ pub fn cache_dir() -> PathBuf {
 #[derive(Default)]
 struct Cells {
     compiles: AtomicU64,
-    cache_hits: AtomicU64,
+    registry_hits: AtomicU64,
+    disk_loads: AtomicU64,
     fallbacks: AtomicU64,
     compile_ms: AtomicU64,
 }
@@ -234,8 +235,13 @@ fn cells() -> &'static Cells {
 pub struct JitStats {
     /// Kernels compiled by invoking the system C compiler.
     pub compiles: u64,
-    /// Requests served from the in-process registry or the on-disk cache.
-    pub cache_hits: u64,
+    /// Requests served from the in-process registry (the kernel was
+    /// already materialized in this process).
+    pub registry_hits: u64,
+    /// Kernels materialized by loading an existing on-disk artifact.
+    /// `compiles + disk_loads` counts materializations; the
+    /// `sdfg_jit_cache_hits_total` metric is `registry_hits + disk_loads`.
+    pub disk_loads: u64,
     /// JIT-eligible bodies that fell back to another tier.
     pub fallbacks: u64,
     /// Total wall-clock milliseconds spent inside the C compiler.
@@ -247,7 +253,8 @@ pub fn stats() -> JitStats {
     let c = cells();
     JitStats {
         compiles: c.compiles.load(Ordering::Relaxed),
-        cache_hits: c.cache_hits.load(Ordering::Relaxed),
+        registry_hits: c.registry_hits.load(Ordering::Relaxed),
+        disk_loads: c.disk_loads.load(Ordering::Relaxed),
         fallbacks: c.fallbacks.load(Ordering::Relaxed),
         compile_ms: c.compile_ms.load(Ordering::Relaxed),
     }
@@ -284,12 +291,23 @@ fn registry() -> &'static Mutex<HashMap<u64, Slot>> {
     REG.get_or_init(Mutex::default)
 }
 
+/// Where a kernel request was served from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// The in-process registry: an earlier request materialized it.
+    Registry,
+    /// An existing artifact in the on-disk cache, loaded.
+    Disk,
+    /// A fresh compilation.
+    Compiled,
+}
+
 /// Returns the loaded kernel for `source`, compiling at most once per
 /// process per hash (concurrent callers for the same hash block on the
 /// first compilation and share its result — including its failure, so a
 /// broken kernel is not retried every launch).
 pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, String> {
-    get_or_compile_entry(source, sdfg_codegen::jit::JIT_ENTRY)
+    get_or_compile_entry(source, sdfg_codegen::jit::JIT_ENTRY).map(|(k, _)| k)
 }
 
 /// [`get_or_compile`] for whole-nest kernels: same registry and artifact
@@ -297,45 +315,49 @@ pub fn get_or_compile(source: &str) -> Result<Arc<JitKernel>, String> {
 ///
 /// [`NEST_ENTRY`]: sdfg_codegen::jit::NEST_ENTRY
 pub fn get_or_compile_nest(source: &str) -> Result<Arc<JitKernel>, String> {
-    get_or_compile_entry(source, sdfg_codegen::jit::NEST_ENTRY)
+    get_or_compile_entry(source, sdfg_codegen::jit::NEST_ENTRY).map(|(k, _)| k)
 }
 
-fn get_or_compile_entry(source: &str, entry: &str) -> Result<Arc<JitKernel>, String> {
+fn get_or_compile_entry(source: &str, entry: &str) -> Result<(Arc<JitKernel>, Served), String> {
     let cc = cc().ok_or_else(|| "no C compiler found (cc/gcc/clang)".to_string())?;
     let hash = kernel_hash(source, cc);
     let slot: Slot = {
         let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
         reg.entry(hash).or_default().clone()
     };
-    let mut fresh = false;
+    let mut served = Served::Registry;
     let res = slot.get_or_init(|| {
-        fresh = true;
-        load_or_compile_in(&cache_dir(), source, cc, hash, entry)
+        load_or_compile_in(&cache_dir(), source, cc, hash, entry).map(|(k, how)| {
+            served = how;
+            k
+        })
     });
-    if !fresh && res.is_ok() {
-        cells().cache_hits.fetch_add(1, Ordering::Relaxed);
+    let kern = res.clone()?;
+    if served == Served::Registry {
+        cells().registry_hits.fetch_add(1, Ordering::Relaxed);
         sdfg_profile::metrics::core().jit_cache_hits.inc();
     }
-    res.clone()
+    Ok((kern, served))
 }
 
 /// Loads `hash`'s artifact from `dir`, compiling it there if missing and
 /// recovering (delete + recompile once) when an existing artifact fails to
-/// load. Exposed to unit tests via an explicit directory.
+/// load; reports which of the two materialized it. Exposed to unit tests
+/// via an explicit directory.
 pub(crate) fn load_or_compile_in(
     dir: &Path,
     source: &str,
     cc: &CcInfo,
     hash: u64,
     entry: &str,
-) -> Result<Arc<JitKernel>, String> {
+) -> Result<(Arc<JitKernel>, Served), String> {
     let so_path = dir.join(format!("{hash:016x}.so"));
     if so_path.exists() {
         match load_kernel(&so_path, hash, entry) {
             Ok(k) => {
-                cells().cache_hits.fetch_add(1, Ordering::Relaxed);
+                cells().disk_loads.fetch_add(1, Ordering::Relaxed);
                 sdfg_profile::metrics::core().jit_cache_hits.inc();
-                return Ok(k);
+                return Ok((k, Served::Disk));
             }
             Err(_) => {
                 // Corrupt artifact: remove and recompile once.
@@ -345,6 +367,7 @@ pub(crate) fn load_or_compile_in(
     }
     compile_into(dir, source, cc, hash)?;
     load_kernel(&so_path, hash, entry)
+        .map(|k| (k, Served::Compiled))
         .inspect_err(|_| {
             let _ = std::fs::remove_file(&so_path);
         })
@@ -513,7 +536,8 @@ mod tests {
         let Some(cc) = cc() else { return };
         let dir = test_dir("abi");
         let hash = kernel_hash(SRC, cc);
-        let kern = load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        let (kern, _) =
+            load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
         let input = [0.0, 1.0, 2.5, -3.0];
         let mut out = [0.0; 4];
         call(&kern, &input, &mut out);
@@ -535,24 +559,18 @@ mod tests {
         // the only corruption that can really happen: before first load.)
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&so, b"not a shared object").unwrap();
-        let before = stats();
-        let kern = load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        let (kern, served) =
+            load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
         let mut out = [0.0];
         call(&kern, &[4.0], &mut out);
         assert_eq!(out, [9.0]);
-        let after_miss = stats();
-        assert_eq!(
-            after_miss.compiles,
-            before.compiles + 1,
-            "corrupt artifact recompiled"
-        );
+        assert_eq!(served, Served::Compiled, "corrupt artifact recompiled");
         assert!(so.exists(), "artifact persisted");
 
         // Warm hit: the artifact is mapped without invoking the compiler.
-        load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
-        let after_hit = stats();
-        assert_eq!(after_hit.compiles, after_miss.compiles, "hit: no compile");
-        assert_eq!(after_hit.cache_hits, after_miss.cache_hits + 1);
+        let (_, served) =
+            load_or_compile_in(&dir, SRC, cc, hash, sdfg_codegen::jit::JIT_ENTRY).unwrap();
+        assert_eq!(served, Served::Disk, "hit: no compile");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -563,21 +581,25 @@ mod tests {
         }
         // A source unique to this test so the registry slot is fresh.
         let src = format!("{SRC}/* registry-test-{} */\n", std::process::id());
-        let before = stats().compiles;
-        let kernels: Vec<_> = std::thread::scope(|s| {
+        let served: Vec<_> = std::thread::scope(|s| {
             (0..8)
-                .map(|_| s.spawn(|| get_or_compile(&src).unwrap()))
+                .map(|_| s.spawn(|| get_or_compile_entry(&src, sdfg_codegen::jit::JIT_ENTRY)))
                 .collect::<Vec<_>>()
                 .into_iter()
-                .map(|h| h.join().unwrap())
+                .map(|h| h.join().unwrap().unwrap())
                 .collect()
         });
-        let first = kernels[0].hash;
-        assert!(kernels.iter().all(|k| k.hash == first));
+        let first = served[0].0.hash;
+        assert!(served.iter().all(|(k, _)| k.hash == first));
+        // One request materializes the kernel (compiling it, or loading an
+        // artifact a previous process left); the other seven share it.
+        let materialized = served
+            .iter()
+            .filter(|(_, how)| *how != Served::Registry)
+            .count();
         assert_eq!(
-            stats().compiles,
-            before + 1,
-            "eight concurrent requests, one compilation"
+            materialized, 1,
+            "eight concurrent requests, one materialization"
         );
     }
 

@@ -17,8 +17,7 @@
 //!
 //! Concurrency follows the SDFG semantics: CPU-multicore maps are tiled
 //! over their iteration space and scheduled on a persistent work-stealing
-//! pool ([`sched`]) with an adaptive grain size (set `SDFG_SCHED=static`
-//! for the legacy spawn-per-launch dim-0 chunking); write-conflict
+//! pool ([`sched`]) with an adaptive grain size; write-conflict
 //! resolution lowers to atomic compare-exchange loops (the analogue of
 //! `#pragma omp atomic`); consume scopes drain a shared queue with
 //! termination detection. Correctness relies on the IR contract that map

@@ -817,12 +817,6 @@ pub(crate) fn try_collapse_loop(ctx: &Ctx, cur: StateId, symbols: &mut Env) {
     if ctx.sdfg.state(cur).graph.node_count() != 0 || ctx.sdfg.graph.out_edges(cur).count() != 2 {
         return;
     }
-    // The serial-collapse gate reasons about the steal scheduler's
-    // behaviour; under the legacy spawn-per-launch scheduler a map it
-    // admits could still have run in parallel.
-    if ctx.sched.is_none() && ctx.nthreads > 1 {
-        return;
-    }
     let cached = ctx.plan.loop_nest(cur.0);
     let plan = match cached {
         Some(Ok(p)) => p,

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-// --- thread-count / mode env switches ----------------------------------------------
+// --- thread-count env switch -----------------------------------------------------------
 
 /// Parses an `SDFG_NTHREADS`-style value: a positive thread count, capped
 /// to keep a typo from spawning thousands of threads.
@@ -55,30 +55,17 @@ pub(crate) fn parse_nthreads(s: &str) -> Option<usize> {
         .map(|n| n.min(512))
 }
 
-/// Thread count requested via the `SDFG_NTHREADS` environment variable.
-pub(crate) fn env_nthreads() -> Option<usize> {
+/// The default worker-thread count: `SDFG_NTHREADS` when set, else the
+/// machine's available parallelism.
+pub(crate) fn default_nthreads() -> usize {
     std::env::var("SDFG_NTHREADS")
         .ok()
         .and_then(|v| parse_nthreads(&v))
-}
-
-/// Scheduling strategy for parallel maps (the `SDFG_SCHED` env var).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SchedMode {
-    /// Persistent pool, adaptive tiles, work stealing (the default).
-    Steal,
-    /// The legacy path: fresh OS threads per launch, dim-0 split into
-    /// `nthreads` equal chunks. Kept as the benchmarking baseline.
-    Static,
-}
-
-/// Reads `SDFG_SCHED` once; anything other than `static` means stealing.
-pub(crate) fn sched_mode() -> SchedMode {
-    static MODE: std::sync::OnceLock<SchedMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SDFG_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("static") => SchedMode::Static,
-        _ => SchedMode::Steal,
-    })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 std::thread_local! {

@@ -1,10 +1,8 @@
 //! The embedding facade: typed, compile-once/invoke-many execution.
 //!
-//! [`Executor`] grew up as a mutate-after-construct object — callers set
-//! the opt level, thread count and tuning database one field at a time,
-//! then `run`, and every embedder (harness, bench, autotuner, and now the
-//! serving layer) repeated the same fragile sequence. The session API
-//! replaces that with two types:
+//! This module is the one place a run's optimization level, tuning and
+//! thread count are resolved; [`Executor`] only runs the graph it is
+//! given. The API is two types:
 //!
 //! * [`SessionBuilder`] — all configuration up front, validated once at
 //!   [`SessionBuilder::build`] (the SDFG is structurally checked, so a
@@ -193,11 +191,7 @@ impl SessionBuilder {
         SessionBuilder {
             sdfg,
             opt: OptLevel::None,
-            nthreads: crate::sched::env_nthreads().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
+            nthreads: crate::sched::default_nthreads(),
             max_transitions: 10_000_000,
             tuning_db: None,
             tuned_cfg: None,
@@ -317,13 +311,10 @@ impl SessionBuilder {
 }
 
 /// Builds a steal-scheduler pool suitable for sharing across sessions
-/// with the same thread count. `None` when `nthreads <= 1` or the
-/// `SDFG_SCHED=static` escape hatch selects the legacy spawn-per-launch
-/// path — sessions then run without a persistent pool, exactly like the
-/// executor would.
+/// with the same thread count. `None` when `nthreads <= 1`: serial
+/// sessions run without a pool.
 pub fn shared_scheduler(nthreads: usize) -> Option<Arc<SchedPool>> {
-    (nthreads > 1 && crate::sched::sched_mode() == crate::sched::SchedMode::Steal)
-        .then(|| Arc::new(SchedPool::new(nthreads)))
+    (nthreads > 1).then(|| Arc::new(SchedPool::new(nthreads)))
 }
 
 /// A compiled, immutable, `Sync`-shareable program: the compile-once/
@@ -378,13 +369,11 @@ impl Session {
         ex.nthreads = self.nthreads;
         ex.max_transitions = self.max_transitions;
         ex.profiling = self.profiling;
-        // The executor borrows the already-optimized graph: carry the
-        // pipeline's products over so reports and the run ledger describe
-        // the real optimization level, and pre-seed the hash memo so warm
-        // invokes never re-serialize the graph.
-        ex.preoptimized = true;
+        // The executor borrows the already-optimized graph: stamp the
+        // level for the run ledger, the tuned configuration for its JIT
+        // knobs, and pre-seed the hash memo so warm invokes never
+        // re-serialize the graph.
         ex.opt_level = self.opt;
-        ex.opt_report = compiled.report.clone();
         ex.tuned_cfg = compiled.tuned.clone();
         ex.jit = self.jit;
         ex.grain_ns = compiled.grain_ns;
@@ -470,7 +459,7 @@ impl Session {
     /// invoke wins; concurrent first invokes may both compile, but only
     /// one result is kept — the pipeline is deterministic, so both are
     /// identical). A failed compile is not cached: the next invoke
-    /// retries, matching the executor's behavior.
+    /// retries.
     fn ensure_compiled(&self, symbols: &Env) -> Result<&Compiled, SdfgError> {
         if let Some(c) = self.compiled.get() {
             return Ok(c);
@@ -523,8 +512,7 @@ impl Session {
 
     /// The tuned configuration for this session: the explicit config,
     /// else a database lookup keyed by the *unoptimized* graph's content
-    /// hash, the CPU target and the thread count (the same key the
-    /// executor uses, so tuned entries serve both paths).
+    /// hash, the CPU target and the thread count.
     fn resolve_tuned_config(&self) -> Result<Option<TunedConfig>, SdfgError> {
         if let Some(cfg) = &self.tuned_cfg {
             return Ok(Some(cfg.clone()));
@@ -600,7 +588,7 @@ impl Session {
     }
 
     /// Work-stealing scheduler counters, cumulative for the shared pool;
-    /// `None` while serial or under `SDFG_SCHED=static`.
+    /// `None` while serial.
     pub fn sched_stats(&self) -> Option<SchedStats> {
         self.sched.as_ref().map(|p| p.stats())
     }
@@ -614,27 +602,9 @@ impl Session {
     /// Renders the hot-path counters footer (plan-cache/pool counters and
     /// per-worker scheduler lines) from the always-on counters.
     pub fn counters_footer(&self) -> String {
-        let cache = self.plan_cache.stats();
-        let pool = self.pool.stats();
-        let exec = sdfg_profile::ExecCounters {
-            plan_cache_hits: cache.hits,
-            plan_cache_misses: cache.misses,
-            pool_acquires: pool.acquires,
-            pool_reuses: pool.reuses,
-            pool_bytes_reused: pool.bytes_reused,
-        };
-        let sched = match &self.sched {
-            Some(pool) => {
-                let s = pool.stats();
-                if s.launches > 0 {
-                    s.workers
-                } else {
-                    Vec::new()
-                }
-            }
-            None => Vec::new(),
-        };
-        sdfg_profile::counters_footer(&exec, &sched)
+        let (exec, workers) =
+            crate::engine::counters(&self.plan_cache, &self.pool, self.sched.as_deref());
+        sdfg_profile::counters_footer(&exec, &workers)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Observability integration tests: the run ledger appends one record
-//! per executor run, counters stay reachable with profiling off, and
-//! annotated instrumentation keeps its overhead below 2% of the warm
-//! median on a real Polybench kernel.
+//! per executor run and names the level a session compiled at, counters
+//! stay reachable with profiling off, and annotated instrumentation keeps
+//! its overhead below 2% of the warm median on a real Polybench kernel.
 //!
 //! The ledger sink and the metrics registry are process-global, so every
 //! test here serializes on one lock (other test binaries are separate
@@ -101,6 +101,60 @@ fn every_run_appends_one_well_formed_ledger_record() {
     assert_eq!(first.num_field("plan_cache_misses").unwrap(), 1.0);
     assert_eq!(last.num_field("plan_cache_hits").unwrap(), 1.0);
     assert_eq!(last.num_field("plan_cache_misses").unwrap(), 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Session` resolves a run's optimization level and tuned configuration
+/// and stamps them on the engine: the ledger record must name the level
+/// the session compiled at, and a tuned configuration's JIT knob must
+/// decide whether the run reaches the JIT tier.
+#[test]
+fn session_stamps_opt_level_and_tuned_jit_knob_on_the_engine() {
+    use sdfg_exec::{OptLevel, TunedConfig};
+    let _g = serial();
+    let dir = std::env::temp_dir().join(format!("sdfg-ledger-opt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ledger.jsonl");
+    let _ = std::fs::remove_file(&path);
+    sdfg_profile::ledger::set_path(Some(&path));
+    let w = build_kernel("gemm", 12);
+    let aggressive = w.session().opt_level(OptLevel::Aggressive).build().unwrap();
+    aggressive.run(w.bindings()).expect("aggressive run");
+    let no_jit = TunedConfig {
+        jit: false,
+        ..TunedConfig::default()
+    };
+    let tuned = w.session().tuned_config(no_jit).build().unwrap();
+    let tuned_out = tuned.run(w.bindings()).expect("tuned run");
+    // The same tuned pipeline with the knob at its default (on).
+    let tuned_jit = w
+        .session()
+        .tuned_config(TunedConfig::default())
+        .build()
+        .unwrap();
+    let jit_out = tuned_jit.run(w.bindings()).expect("tuned JIT run");
+    sdfg_profile::ledger::set_path(None);
+
+    let src = std::fs::read_to_string(&path).expect("ledger written");
+    let lines: Vec<&str> = src.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(lines.len(), 3, "one record per run:\n{src}");
+    assert!(
+        lines[0].contains("\"opt_level\":\"Aggressive\""),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"opt_level\":\"Tuned\""), "{}", lines[1]);
+    assert_eq!(
+        tuned_out.stats().jit_points,
+        0,
+        "jit: false still reached the JIT tier"
+    );
+    if sdfg_exec::jit::cc().is_some() && sdfg_exec::jit::env_enabled() {
+        assert!(
+            jit_out.stats().jit_points > 0,
+            "the default tuned configuration never reached the JIT tier"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
